@@ -32,6 +32,9 @@ slower — the observability layer must stay effectively free.
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py [--baseline BENCH_simspeed.json]
+
+The default baseline is the repository's ``BENCH_simspeed.json``, wherever
+the script is run from; an explicit ``--baseline`` path is taken as given.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+#: The committed baseline, found from this file rather than the current
+#: directory, so the script runs from anywhere.
+DEFAULT_BASELINE = (Path(__file__).resolve().parent.parent
+                    / "BENCH_simspeed.json")
 
 
 def measure_obs_overhead(rounds: int = 40) -> float:
@@ -94,8 +102,10 @@ def measure_obs_overhead(rounds: int = 40) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default="BENCH_simspeed.json",
-                        help="committed benchmark report to compare against")
+    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
+                        help="committed benchmark report to compare against "
+                             "(default: BENCH_simspeed.json at the "
+                             "repository root)")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional regression (default: 0.25)")
     parser.add_argument("--min-fold-speedup", type=float, default=3.0,
@@ -103,15 +113,15 @@ def main(argv=None) -> int:
                              "(default: 3.0; 0 disables)")
     parser.add_argument("--allow-python-engine", action="store_true",
                         help="do not fail when the native engine is "
-                             "unavailable (environments without cffi/cc)")
+                             "unavailable (environments without a C "
+                             "compiler)")
     parser.add_argument("--obs-overhead-tolerance", type=float,
                         default=0.03,
                         help="maximum fractional telemetry overhead "
                              "(default: 0.03; 0 disables the check)")
     args = parser.parse_args(argv)
 
-    baseline_path = Path(args.baseline)
-    baseline = json.loads(baseline_path.read_text())
+    baseline = json.loads(args.baseline.read_text())
     committed = float(baseline["best_cycles_per_second"])
 
     from repro.bench import run_benchmark, run_sweep_timing

@@ -32,82 +32,63 @@ The package provides:
 * :mod:`repro.bench` — the simulation-speed benchmark harness.
 """
 
-from repro.core.kernels import (
-    TABLE1_KERNELS,
-    all_kernels,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-)
-from repro.core.stencil import StencilKernel
-from repro.core.variants import (
-    paper_variants,
-    register_variant,
-    variant_names,
-)
-from repro.experiment import Experiment, ExperimentRecord, ResultSet
-from repro.machine import (
-    MachineSpec,
-    default_machine,
-    get_machine,
-    machine_names,
-    register_machine,
-)
-from repro.runner import (
-    KernelRunResult,
-    VariantComparison,
-    compare_variants,
-    run_kernel,
-)
-from repro.snitch.params import TimingParams
-from repro.sweep import ResultStore, SweepJob, run_jobs, run_sweep
+import importlib
 
 __version__ = "1.2.0"
 
+#: Public names and the module each one lives in.  They resolve on first
+#: use (PEP 562), so ``import repro`` (and every ``repro.*`` submodule
+#: import, which runs this file first) costs no NumPy and no codegen.
+_LAZY = {
+    "TABLE1_KERNELS": "repro.core.kernels",
+    "all_kernels": "repro.core.kernels",
+    "get_kernel": "repro.core.kernels",
+    "kernel_names": "repro.core.kernels",
+    "register_kernel": "repro.core.kernels",
+    "StencilKernel": "repro.core.stencil",
+    "paper_variants": "repro.core.variants",
+    "register_variant": "repro.core.variants",
+    "variant_names": "repro.core.variants",
+    "Experiment": "repro.experiment",
+    "ExperimentRecord": "repro.experiment",
+    "ResultSet": "repro.experiment",
+    "MachineSpec": "repro.machine",
+    "default_machine": "repro.machine",
+    "get_machine": "repro.machine",
+    "machine_names": "repro.machine",
+    "register_machine": "repro.machine",
+    "KernelRunResult": "repro.runner",
+    "VariantComparison": "repro.runner",
+    "compare_variants": "repro.runner",
+    "run_kernel": "repro.runner",
+    "TimingParams": "repro.snitch.params",
+    "ResultStore": "repro.sweep",
+    "SweepJob": "repro.sweep",
+    "run_jobs": "repro.sweep",
+    "run_sweep": "repro.sweep",
+    "JobQueue": "repro.service",
+    "ReproService": "repro.service",
+    "ServiceClient": "repro.service",
+}
+
 
 def __getattr__(name):
-    # Live view of the kernel registry (PEP 562): plug-in kernels registered
-    # after import show up without a stale snapshot.
+    # Live view of the kernel registry: plug-in kernels registered after
+    # import show up without a stale snapshot.
     if name == "KERNEL_NAMES":
+        from repro.core.kernels import kernel_names
+
         return kernel_names()
-    # Service names resolve lazily: repro.service.server needs __version__
-    # from this module, so an eager import here would be circular.
-    if name in ("JobQueue", "ReproService", "ServiceClient"):
-        from repro import service
-        return getattr(service, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "KERNEL_NAMES",
-    "TABLE1_KERNELS",
-    "all_kernels",
-    "get_kernel",
-    "kernel_names",
-    "register_kernel",
-    "StencilKernel",
-    "Experiment",
-    "ExperimentRecord",
-    "JobQueue",
-    "ReproService",
-    "ResultSet",
-    "ServiceClient",
-    "KernelRunResult",
-    "MachineSpec",
-    "ResultStore",
-    "SweepJob",
-    "VariantComparison",
-    "compare_variants",
-    "default_machine",
-    "get_machine",
-    "machine_names",
-    "paper_variants",
-    "register_machine",
-    "register_variant",
-    "run_jobs",
-    "run_kernel",
-    "run_sweep",
-    "variant_names",
-    "TimingParams",
-    "__version__",
-]
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = ["KERNEL_NAMES", *_LAZY, "__version__"]

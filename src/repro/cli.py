@@ -22,19 +22,10 @@ import os
 import sys
 from typing import List, Optional
 
-from repro import (
-    compare_variants,
-    get_kernel,
-    kernel_names,
-    machine_names,
-    run_kernel,
-    variant_names,
-)
-from repro.analysis import format_table
-from repro.core.variants import VARIANT_REGISTRY
-from repro.energy import energy_comparison
-from repro.machine import MACHINES, resolve_machine
-from repro.scaleout import estimate_scaleout_pair
+# Nothing from ``repro`` is imported at module level: each subcommand
+# imports what it needs when it runs, and only a subcommand whose arguments
+# name kernels, variants, machines or artifact subsets loads those
+# registries while its arguments are parsed.
 
 
 def _print_json(payload) -> None:
@@ -42,6 +33,11 @@ def _print_json(payload) -> None:
 
 
 def _cmd_list(args) -> int:
+    from repro.analysis import format_table
+    from repro.core.kernels import get_kernel, kernel_names
+    from repro.core.variants import VARIANT_REGISTRY
+    from repro.machine import MACHINES
+
     kernels = [get_kernel(name) for name in kernel_names()]
     if args.json:
         _print_json({
@@ -80,6 +76,9 @@ def _cmd_list(args) -> int:
 
 
 def _print_machines() -> None:
+    from repro.analysis import format_table
+    from repro.machine import MACHINES
+
     rows = [[s["name"], s["cores"], s["lanes"], s["clusters"], s["tcdm"],
              s["clock"], s["peak"], s["overrides"], s["description"]]
             for s in (spec.summary() for spec in MACHINES.values())]
@@ -108,6 +107,8 @@ def _machine_json(spec) -> dict:
 
 
 def _cmd_machines(args) -> int:
+    from repro.machine import MACHINES
+
     if args.json:
         _print_json([_machine_json(spec) for spec in MACHINES.values()])
         return 0
@@ -123,6 +124,10 @@ def _run_payload(result, machine: str) -> dict:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis import format_table
+    from repro.machine import resolve_machine
+    from repro.runner import run_kernel
+
     machine = resolve_machine(args.machine)
     result = run_kernel(args.kernel, variant=args.variant,
                         tile_shape=tuple(args.tile) if args.tile else None,
@@ -137,6 +142,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.analysis import format_table
+    from repro.energy import energy_comparison
+    from repro.machine import resolve_machine
+    from repro.runner import compare_variants
+
     machine = resolve_machine(args.machine)
     cmp = compare_variants(args.kernel,
                            tile_shape=tuple(args.tile) if args.tile else None,
@@ -197,6 +207,8 @@ def _parse_config(items) -> dict:
 
 def _scaleout_machine(args, default_name: str):
     """Topology the scaleout command targets: preset + ``--config`` overrides."""
+    from repro.machine import resolve_machine
+
     machine = resolve_machine(args.machine or default_name)
     overrides = _parse_config(args.config)
     if overrides:
@@ -205,6 +217,8 @@ def _scaleout_machine(args, default_name: str):
 
 
 def _cmd_scaleout(args) -> int:
+    from repro.core.kernels import get_kernel
+
     kernel = get_kernel(args.kernel)
     try:
         if args.direct:
@@ -216,7 +230,9 @@ def _cmd_scaleout(args) -> int:
 
 
 def _scaleout_analytical(args, kernel) -> int:
-    from repro.scaleout import ManticoreConfig
+    from repro.analysis import format_table
+    from repro.runner import compare_variants
+    from repro.scaleout import ManticoreConfig, estimate_scaleout_pair
 
     machine = _scaleout_machine(args, "manticore-32")
     if machine.is_multi_cluster:
@@ -265,6 +281,7 @@ def _scaleout_analytical(args, kernel) -> int:
 
 
 def _scaleout_direct(args, kernel) -> int:
+    from repro.analysis import format_table
     from repro.scaleout import direct_scaleout_pair
     from repro.scaleout.sim import DEFAULT_TILES_PER_CLUSTER
 
@@ -446,6 +463,7 @@ def _metrics_rows(metrics, prefix: str = "") -> List[List[object]]:
 
 
 def _cmd_doctor(args) -> int:
+    from repro.analysis import format_table
     from repro.doctor import doctor_report
     from repro.service import configured_url
 
@@ -798,6 +816,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro import obs
+    from repro.analysis import format_table
     from repro.sweep.engine import run_sweep
     from repro.sweep.job import SweepJob
 
@@ -851,11 +870,38 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the CLI argument parser (choices track the live registries)."""
+def _kernel_choices() -> List[str]:
+    from repro.core.kernels import kernel_names
+
+    return sorted(kernel_names())
+
+
+def _variant_choices() -> List[str]:
+    from repro.core.variants import variant_names
+
+    return list(variant_names())
+
+
+def _machine_choices() -> List[str]:
+    from repro.machine import machine_names
+
+    return machine_names()
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Build the CLI argument parser (choices track the live registries).
+
+    Every subcommand is listed.  A subcommand whose arguments name kernels,
+    variants, machines or artifact subsets gets those arguments only when
+    it is ``command`` (or ``command`` is ``None``), so parsing loads the
+    registries only for a subcommand that takes them.
+    """
     parser = argparse.ArgumentParser(prog="repro",
                                      description="SARIS reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
     list_p = sub.add_parser(
         "list", help="list registered kernels, variants and machine presets")
@@ -870,34 +916,38 @@ def build_parser() -> argparse.ArgumentParser:
     machines_p.set_defaults(func=_cmd_machines)
 
     def add_common(p):
-        p.add_argument("kernel", choices=sorted(kernel_names()))
+        p.add_argument("kernel", choices=_kernel_choices())
         p.add_argument("--tile", type=int, nargs="+", default=None,
                        help="tile shape including halo (default: paper size)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--machine", choices=machine_names(), default=None,
+        p.add_argument("--machine", choices=_machine_choices(), default=None,
                        help="machine preset (default: snitch-8)")
         p.add_argument("--json", action="store_true",
                        help="print the metrics as JSON (for scripting)")
 
     run_p = sub.add_parser("run", help="simulate one kernel variant")
-    add_common(run_p)
-    run_p.add_argument("--variant", choices=list(variant_names()),
-                       default="saris")
+    if wanted("run"):
+        add_common(run_p)
+        run_p.add_argument("--variant", choices=_variant_choices(),
+                           default="saris")
     run_p.set_defaults(func=_cmd_run)
 
     cmp_p = sub.add_parser("compare", help="compare base and saris variants")
-    add_common(cmp_p)
+    if wanted("compare"):
+        add_common(cmp_p)
     cmp_p.set_defaults(func=_cmd_compare)
 
     scale_p = sub.add_parser(
         "scaleout",
         help="scale a kernel out to a Manticore topology (analytical "
              "projection, or --direct multi-cluster simulation)")
-    scale_p.add_argument("kernel", choices=sorted(kernel_names()))
-    scale_p.add_argument("--seed", type=int, default=0)
-    scale_p.add_argument("--machine", choices=machine_names(), default=None,
-                         help="topology preset (default: manticore-32 "
-                              "analytical / manticore-2 direct)")
+    if wanted("scaleout"):
+        scale_p.add_argument("kernel", choices=_kernel_choices())
+        scale_p.add_argument("--seed", type=int, default=0)
+        scale_p.add_argument("--machine", choices=_machine_choices(),
+                             default=None,
+                             help="topology preset (default: manticore-32 "
+                                  "analytical / manticore-2 direct)")
     scale_p.add_argument("--config", action="append", metavar="KEY=VALUE",
                          help="topology overrides: groups=N, clusters=N "
                               "(clusters per group), hbm=GB/s; repeatable")
@@ -924,17 +974,21 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Table-1 sweep repetitions only (CI perf smoke)")
     bench_p.set_defaults(func=_cmd_bench_speed)
 
-    from repro.sweep.artifacts import subset_choices
-
     repro_p = sub.add_parser(
         "reproduce",
         help="regenerate every paper artifact through the parallel sweep "
              "engine and write a consolidated report")
-    repro_p.add_argument("--subset", choices=subset_choices(), default="all",
-                         help="artifact subset to regenerate (default: all)")
-    repro_p.add_argument("--machine", choices=machine_names(), default=None,
-                         help="machine preset to run the pipeline on "
-                              "(default: snitch-8)")
+    if wanted("reproduce"):
+        from repro.sweep.artifacts import subset_choices
+
+        repro_p.add_argument("--subset", choices=subset_choices(),
+                             default="all",
+                             help="artifact subset to regenerate "
+                                  "(default: all)")
+        repro_p.add_argument("--machine", choices=_machine_choices(),
+                             default=None,
+                             help="machine preset to run the pipeline on "
+                                  "(default: snitch-8)")
     repro_p.add_argument("--workers", type=int, default=None,
                          help="worker processes (default: $REPRO_SWEEP_WORKERS "
                               "or the CPU count)")
@@ -1141,13 +1195,14 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a kernel in-process and print where the time goes "
              "(codegen / setup / simulate / verify phase breakdown)")
-    profile_p.add_argument("kernel", choices=sorted(kernel_names()))
-    profile_p.add_argument("--variants", nargs="+", default=None,
-                           choices=list(variant_names()),
-                           help="variants to profile (default: saris)")
-    profile_p.add_argument("--machine", choices=machine_names(),
-                           default=None,
-                           help="machine preset (default: snitch-8)")
+    if wanted("profile"):
+        profile_p.add_argument("kernel", choices=_kernel_choices())
+        profile_p.add_argument("--variants", nargs="+", default=None,
+                               choices=_variant_choices(),
+                               help="variants to profile (default: saris)")
+        profile_p.add_argument("--machine", choices=_machine_choices(),
+                               default=None,
+                               help="machine preset (default: snitch-8)")
     profile_p.add_argument("--tile", type=int, nargs="+", default=None,
                            help="tile shape including halo")
     profile_p.add_argument("--seed", type=int, default=0)
@@ -1162,8 +1217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no options besides --help, so the first bare
+    # word names the subcommand ("" when there is none).
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

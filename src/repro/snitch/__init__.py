@@ -20,30 +20,39 @@ stalls, SSR data/index traffic, TCDM bank conflicts, FREP overlap) without
 claiming RTL-exact cycle counts.
 """
 
-from repro.snitch.params import TimingParams
-from repro.snitch.tcdm import TCDM
-from repro.snitch.main_memory import MainMemory
-from repro.snitch.ssr import DataMover, SsrUnit
-from repro.snitch.fpu import FpuSequencer, FrepBlock
-from repro.snitch.icache import InstructionCache
-from repro.snitch.dma import DmaEngine, DmaTransfer
-from repro.snitch.core import SnitchCore
-from repro.snitch.cluster import SnitchCluster
-from repro.snitch.trace import ClusterResult, CoreStats
+import importlib
 
-__all__ = [
-    "TimingParams",
-    "TCDM",
-    "MainMemory",
-    "DataMover",
-    "SsrUnit",
-    "FpuSequencer",
-    "FrepBlock",
-    "InstructionCache",
-    "DmaEngine",
-    "DmaTransfer",
-    "SnitchCore",
-    "SnitchCluster",
-    "ClusterResult",
-    "CoreStats",
-]
+#: Public names and their modules, resolved on first use (PEP 562): the
+#: native engine and the NumPy-backed cluster model load only when needed.
+_LAZY = {
+    "TimingParams": "repro.snitch.params",
+    "TCDM": "repro.snitch.tcdm",
+    "MainMemory": "repro.snitch.main_memory",
+    "DataMover": "repro.snitch.ssr",
+    "SsrUnit": "repro.snitch.ssr",
+    "FpuSequencer": "repro.snitch.fpu",
+    "FrepBlock": "repro.snitch.fpu",
+    "InstructionCache": "repro.snitch.icache",
+    "DmaEngine": "repro.snitch.dma",
+    "DmaTransfer": "repro.snitch.dma",
+    "SnitchCore": "repro.snitch.core",
+    "SnitchCluster": "repro.snitch.cluster",
+    "ClusterResult": "repro.snitch.trace",
+    "CoreStats": "repro.snitch.trace",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = list(_LAZY)

@@ -15,6 +15,11 @@ Architecture
   ``$REPRO_CACHE_DIR/native/`` (or ``.repro_cache/native/``), so every later
   process — sweep workers included — just ``dlopen``\\ s it.  If no compiler
   is available the engine silently stays on the Python fallback.
+* **Binding**: the standard library's :mod:`ctypes`.  The struct and
+  prototype mirrors are generated from ``engine.c``'s CDEF block, checked
+  against the library's ``nat_abi`` / ``nat_sizeof_*`` entry points at load
+  time, and every run is stamped with a magic number and the ABI version.
+  Only the program decoder needs NumPy, so loading the engine does not.
 * **Symmetry fold**: SPMD programs are *decoded once per unique program
   object* into a flat ``(plen, 12)`` int64 opcode table shared by reference
   with the C core; per-core state lives in flat structure-of-arrays records;
@@ -35,8 +40,10 @@ Set ``REPRO_ENGINE=python`` to force the Python engine.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -44,9 +51,8 @@ import tempfile
 import warnings
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from types import SimpleNamespace
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 
@@ -207,14 +213,84 @@ def _signed32(value: int) -> int:
 # Build + load (the engine side of the cross-job compile cache)
 # ---------------------------------------------------------------------------
 
-_ENGINE: Optional[tuple] = None  # (ffi, lib) or (None, None) when disabled
+_ENGINE: Optional[tuple] = None  # (layout, lib) or (None, None) when disabled
 _DISABLED_REASON: Optional[str] = None
+
+#: C scalar types the CDEF block is written in.
+_C_SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double,
+              "uint8_t": ctypes.c_uint8}
+
+
+class _BuildFailed(Exception):
+    """No engine library could be found or compiled (message = reason)."""
 
 
 def _extract_cdef(source: str) -> str:
     begin = source.index("/*CDEF-BEGIN*/") + len("/*CDEF-BEGIN*/")
     end = source.index("/*CDEF-END*/")
     return source[begin:end]
+
+
+def _source_digest(source: str) -> str:
+    """Compile-cache key: the C source plus the effective compiler flags."""
+    return hashlib.sha256(
+        (source + repr(effective_cflags())).encode()).hexdigest()[:16]
+
+
+def _ctypes_layout(cdef: str) -> SimpleNamespace:
+    """``ctypes`` mirrors of the structs and prototypes in a CDEF block.
+
+    The block in ``engine.c`` is the only definition of the ABI.  Its C
+    subset is small: typedef'd structs whose fields are scalars, pointers
+    or fixed-size arrays, and prototypes over those types.  Returns one
+    ``ctypes.Structure`` class per struct, by name, plus ``prototypes``:
+    function name -> ``(restype, argtypes)``.
+    """
+    text = re.sub(r"/\*.*?\*/", " ", cdef, flags=re.S)
+    types = dict(_C_SCALARS)
+    layout = SimpleNamespace(prototypes={})
+
+    def ctype_of(base: str, pointer: str, length: Optional[str] = None):
+        ctype = types[base]
+        if pointer:
+            ctype = ctypes.POINTER(ctype)
+        return ctype * int(length) if length else ctype
+
+    struct = re.compile(r"typedef\s+struct\s*\{(.*?)\}\s*(\w+)\s*;", re.S)
+    for body, name in struct.findall(text):
+        fields = []
+        for decl in filter(None, (d.strip() for d in body.split(";"))):
+            base, declarators = decl.split(None, 1)
+            for item in declarators.split(","):
+                match = re.fullmatch(r"\s*(\*?)\s*(\w+)\s*(?:\[(\d+)\])?\s*",
+                                     item)
+                if match is None:
+                    raise ValueError(f"unsupported CDEF field {item!r}")
+                pointer, field, length = match.groups()
+                fields.append((field, ctype_of(base, pointer, length)))
+        types[name] = type(name, (ctypes.Structure,), {"_fields_": fields})
+        setattr(layout, name, types[name])
+    for ret, func, params in re.findall(r"(\w+)\s+(\w+)\s*\(([^)]*)\)\s*;",
+                                        struct.sub(" ", text)):
+        argtypes = []
+        for param in params.split(","):
+            if param.strip() not in ("", "void"):
+                match = re.fullmatch(r"\s*(\w+)\s*(\*?)\s*\w*\s*", param)
+                if match is None:
+                    raise ValueError(f"unsupported CDEF parameter {param!r}")
+                argtypes.append(ctype_of(*match.groups()))
+        layout.prototypes[func] = (types[ret], argtypes)
+    return layout
+
+
+def _bind(so_path: Path, layout: SimpleNamespace) -> ctypes.CDLL:
+    """``dlopen`` the engine and type its entry points from ``layout``."""
+    lib = ctypes.CDLL(str(so_path))
+    for name, (restype, argtypes) in layout.prototypes.items():
+        func = getattr(lib, name)
+        func.restype = restype
+        func.argtypes = argtypes
+    return lib
 
 
 def _cache_dir() -> Path:
@@ -270,7 +346,15 @@ def _compiler_identity(cc: str) -> str:
     return ident
 
 
-def _build_library(source: str, digest: str) -> Optional[Path]:
+def _first_error_line(stderr: bytes) -> str:
+    """The compiler's first ``error`` diagnostic (else its first line)."""
+    lines = [line.strip() for line in
+             stderr.decode(errors="replace").splitlines() if line.strip()]
+    return next((line for line in lines if "error" in line),
+                lines[0] if lines else "no diagnostics")
+
+
+def _build_library(source: str, digest: str) -> Path:
     """Compile the engine into the shared cache, once per content hash.
 
     ``digest`` covers the C source and the effective compiler flags; the
@@ -279,6 +363,7 @@ def _build_library(source: str, digest: str) -> Optional[Path]:
     compiler, any previously built library for this exact source + flags is
     accepted regardless of which toolchain produced it (bit-identical by
     construction, and better than losing the native engine entirely).
+    Raises :class:`_BuildFailed` with the reason when there is no library.
     """
     pytag = f"py{sys.version_info[0]}{sys.version_info[1]}"
     candidates = [_cache_dir()]
@@ -296,7 +381,7 @@ def _build_library(source: str, digest: str) -> Optional[Path]:
             if hits:
                 _OBS_COMPILE_CACHE_HITS.inc()
                 return hits[0]
-        return None
+        raise _BuildFailed("no C compiler available")
     filename = f"engine-{digest}-{_compiler_identity(cc)}-{pytag}.so"
     for directory in candidates:
         so_path = directory / filename
@@ -304,6 +389,8 @@ def _build_library(source: str, digest: str) -> Optional[Path]:
             _OBS_COMPILE_CACHE_HITS.inc()
             return so_path
     flags = effective_cflags()
+    compile_error = None  # a compiler complaint beats a directory problem
+    dir_error = "no writable native cache directory"
     for directory in candidates:
         try:
             directory.mkdir(parents=True, exist_ok=True)
@@ -321,64 +408,68 @@ def _build_library(source: str, digest: str) -> Optional[Path]:
             os.replace(tmp_path, so_path)
             _OBS_COMPILES.inc()
             return so_path
-        except (OSError, subprocess.SubprocessError):
-            try:
-                tmp_path.unlink()
-            except OSError:
-                pass
-            continue
-    return None
+        except subprocess.CalledProcessError as exc:
+            compile_error = compile_error or (
+                f"C compiler failed: {_first_error_line(exc.stderr)}")
+        except subprocess.TimeoutExpired:
+            compile_error = compile_error or "C compiler timed out"
+        except OSError as exc:
+            dir_error = f"cannot build in {directory}: {exc}"
+        try:
+            tmp_path.unlink()
+        except OSError:
+            pass
+    raise _BuildFailed(compile_error or dir_error)
+
+
+#: Load-time layout handshake: each ``nat_sizeof_*`` entry point against
+#: the size of the ctypes mirror of the same struct.
+_SIZE_CHECKS = (("nat_sizeof_mover", "NatMover"),
+                ("nat_sizeof_qitem", "NatQItem"),
+                ("nat_sizeof_core", "NatCore"),
+                ("nat_sizeof_cluster", "NatCluster"),
+                ("nat_sizeof_dma", "NatDmaTransfer"))
+
+
+def _abi_mismatch(lib: ctypes.CDLL, layout: SimpleNamespace) -> bool:
+    """Whether the library's ABI version or a struct size disagrees."""
+    return (lib.nat_abi() != _ABI_VERSION
+            or any(getattr(lib, func)() != ctypes.sizeof(getattr(layout, name))
+                   for func, name in _SIZE_CHECKS))
 
 
 def _load_engine():
-    """Build/load the native engine; returns (ffi, lib) or (None, None)."""
+    """Build/load the native engine; returns (layout, lib) or (None, None)."""
     global _ENGINE, _DISABLED_REASON
     if _ENGINE is not None:
         return _ENGINE
     if os.environ.get(ENGINE_ENV_VAR, "").strip().lower() == "python":
-        _DISABLED_REASON = f"{ENGINE_ENV_VAR}=python"
-        _ENGINE = (None, None)
-        return _ENGINE
-    try:
-        import cffi
-    except ImportError:
-        _DISABLED_REASON = "cffi unavailable"
-        _ENGINE = (None, None)
-        return _ENGINE
-    try:
-        source = _SOURCE_PATH.read_text()
-        digest = hashlib.sha256(
-            (source + repr(effective_cflags())).encode()).hexdigest()[:16]
-        so_path = _build_library(source, digest)
-        if so_path is None:
-            _DISABLED_REASON = "no C compiler available"
-            _ENGINE = (None, None)
-            return _ENGINE
-        ffi = cffi.FFI()
-        ffi.cdef(_extract_cdef(source))
-        lib = ffi.dlopen(str(so_path))
-        if (lib.nat_abi() != _ABI_VERSION
-                or lib.nat_sizeof_mover() != ffi.sizeof("NatMover")
-                or lib.nat_sizeof_qitem() != ffi.sizeof("NatQItem")
-                or lib.nat_sizeof_core() != ffi.sizeof("NatCore")
-                or lib.nat_sizeof_cluster() != ffi.sizeof("NatCluster")
-                or lib.nat_sizeof_dma() != ffi.sizeof("NatDmaTransfer")):
-            _DISABLED_REASON = "ABI mismatch between engine.c and cdef"
-            _ENGINE = (None, None)
-            return _ENGINE
-        _ENGINE = (ffi, lib)
-    except Exception as exc:  # noqa: BLE001 - any failure => Python fallback
-        warnings.warn(f"native engine disabled: {exc}", RuntimeWarning,
-                      stacklevel=2)
-        _DISABLED_REASON = str(exc)
-        _ENGINE = (None, None)
+        reason = f"{ENGINE_ENV_VAR}=python"
+    else:
+        try:
+            source = _SOURCE_PATH.read_text()
+            so_path = _build_library(source, _source_digest(source))
+            layout = _ctypes_layout(_extract_cdef(source))
+            lib = _bind(so_path, layout)
+            if not _abi_mismatch(lib, layout):
+                _DISABLED_REASON = None
+                _ENGINE = (layout, lib)
+                return _ENGINE
+            reason = "ABI mismatch between engine.c and its ctypes layout"
+        except _BuildFailed as exc:
+            reason = str(exc)
+        except Exception as exc:  # noqa: BLE001 - any failure => Python fallback
+            warnings.warn(f"native engine disabled: {exc}", RuntimeWarning,
+                          stacklevel=2)
+            reason = str(exc)
+    _DISABLED_REASON = reason
+    _ENGINE = (None, None)
     return _ENGINE
 
 
 def available() -> bool:
     """Whether the native engine is built and loadable on this machine."""
-    ffi, lib = _load_engine()
-    return lib is not None
+    return _load_engine()[1] is not None
 
 
 _FORCED_PYTHON = 0
@@ -446,9 +537,7 @@ def build_info() -> Dict[str, object]:
         "run_stats": dict(run_stats),
     }
     try:
-        source = _SOURCE_PATH.read_text()
-        info["source_digest"] = hashlib.sha256(
-            (source + repr(effective_cflags())).encode()).hexdigest()[:16]
+        info["source_digest"] = _source_digest(_SOURCE_PATH.read_text())
     except OSError:
         info["source_digest"] = None
     return info
@@ -470,7 +559,7 @@ def python_forced() -> bool:
 # Program decode (once per unique program object, shared across cores/runs)
 # ---------------------------------------------------------------------------
 
-def decode_program(program, params) -> Optional[np.ndarray]:
+def decode_program(program, params) -> Optional["np.ndarray"]:
     """Decode ``program`` into the C opcode table, or ``None`` if ineligible.
 
     The result is cached on the program object; programs are themselves
@@ -491,7 +580,9 @@ def decode_program(program, params) -> Optional[np.ndarray]:
     return table
 
 
-def _decode_uncached(program, params) -> Optional[np.ndarray]:
+def _decode_uncached(program, params) -> Optional["np.ndarray"]:
+    import numpy as np
+
     from repro.isa.instruction import FP_MNEMONICS
 
     insts = program.instructions
@@ -785,7 +876,7 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
         run_stats["fallback"] += 1
         _OBS_FALLBACK_RUNS.inc()
         return None
-    ffi, lib = _load_engine()
+    layout, lib = _load_engine()
     if lib is None or not _cluster_eligible(cluster):
         run_stats["fallback"] += 1
         _OBS_FALLBACK_RUNS.inc()
@@ -798,9 +889,10 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     num_cores = len(cores)
     line_insts = params.icache_line_insts
 
-    cl = ffi.new("NatCluster *")
-    ccores = ffi.new("NatCore[]", num_cores)
-    keep_alive: List[object] = [ccores]
+    # Buffers assigned to pointer fields stay referenced by the structs
+    # (ctypes keeps them in ``_objects``) for as long as ``cl`` lives.
+    cl = layout.NatCluster()
+    ccores = (layout.NatCore * num_cores)()
 
     cl.magic = _MAGIC
     cl.abi = _ABI_VERSION
@@ -822,17 +914,14 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     cl.div_latency = params.div_latency
     cl.start_cycle = cluster.cycle
     cl.max_cycles = max_cycles
-
-    tcdm_buf = ffi.from_buffer(cluster.tcdm._data)
-    keep_alive.append(tcdm_buf)
-    cl.tcdm = ffi.cast("uint8_t *", tcdm_buf)
+    cl.tcdm = _bytes_view(cluster.tcdm._data)
     cl.cores = ccores
 
     # Cluster DMA engine: ship the queued transfer descriptors and the busy
     # countdown; the C loop runs the same countdown + bulk-copy model.
     dma = cluster.dma
     queued = list(dma._queue)
-    cl.wait_for_dma = int(bool(wait_for_dma))
+    cl.wait_for_dma = bool(wait_for_dma)
     cl.dma_bus_bytes = params.dma_bus_bytes
     cl.dma_row_setup = params.dma_row_setup_cycles
     cl.dma_transfer_setup = params.dma_transfer_setup_cycles
@@ -843,9 +932,8 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     cl.dma_queue_len = len(queued)
     cl.dma_queue_pos = 0
     if queued:
-        dma_descs = ffi.new("NatDmaTransfer[]", len(queued))
-        for index, transfer in enumerate(queued):
-            desc = dma_descs[index]
+        dma_descs = (layout.NatDmaTransfer * len(queued))()
+        for desc, transfer in zip(dma_descs, queued):
             desc.src = transfer.src
             desc.dst = transfer.dst
             desc.inner_bytes = transfer.inner_bytes
@@ -855,20 +943,12 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
             desc.plane_reps = transfer.plane_reps
             desc.src_plane_stride = transfer.src_plane_stride
             desc.dst_plane_stride = transfer.dst_plane_stride
-        keep_alive.append(dma_descs)
         cl.dma_queue = dma_descs
         # Copies may target main memory: materialize the lazy backing store
         # and share it with the C engine by reference.
-        main_buf = ffi.from_buffer(cluster.main_memory._data)
-        keep_alive.append(main_buf)
-        cl.main_mem = ffi.cast("uint8_t *", main_buf)
+        cl.main_mem = _bytes_view(cluster.main_memory._data)
         cl.main_base = cluster.main_memory.base
         cl.main_size = cluster.main_memory.size
-    else:
-        cl.dma_queue = ffi.NULL
-        cl.main_mem = ffi.NULL
-        cl.main_base = 0
-        cl.main_size = 0
 
     cl.icache_hits = cluster.icache.hits
     cl.icache_misses = cluster.icache.misses
@@ -878,48 +958,44 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
 
     miss_cap = sum((core._plen + line_insts - 1) // line_insts
                    for core in cores) + 8
-    miss_log = ffi.new("int64_t[]", miss_cap)
-    keep_alive.append(miss_log)
+    miss_log = (ctypes.c_int64 * miss_cap)()
     cl.miss_log = miss_log
     cl.miss_log_cap = miss_cap
     cl.miss_log_len = 0
 
     lines = cluster.icache._lines
-    sync_state = []
-    for index, core in enumerate(cores):
-        co = ccores[index]
-        state = _pack_core(ffi, cl, co, core, lines, keep_alive)
-        sync_state.append(state)
+    residents = [_pack_core(co, core, line_insts, lines)
+                 for co, core in zip(ccores, cores)]
 
     rc = lib.nat_run(cl)
     final_cycle = cl.cycle
 
     # Write every piece of architectural and statistical state back, so the
     # Python objects are indistinguishable from a Python-engine run.
-    for index, core in enumerate(cores):
-        _unpack_core(ccores[index], core, sync_state[index])
+    for co, core, resident in zip(ccores, cores, residents):
+        _unpack_core(co, core, resident)
     cluster.icache.hits = cl.icache_hits
     cluster.icache.misses = cl.icache_misses
-    for i in range(cl.miss_log_len):
-        lines[int(cl.miss_log[i])] = True
+    for line in miss_log[:cl.miss_log_len]:
+        lines[line] = True
     cluster.tcdm.total_requests = cl.tcdm_total
     cluster.tcdm.granted_requests = cl.tcdm_granted
     cluster.tcdm.conflicts = cl.tcdm_conflicts
-    for _ in range(int(cl.dma_queue_pos)):
+    for _ in range(cl.dma_queue_pos):
         dma._queue.popleft()
-    dma._remaining_cycles = int(cl.dma_remaining)
-    dma.bytes_moved = int(cl.dma_bytes_moved)
-    dma.busy_cycles = int(cl.dma_busy_cycles)
-    dma.transfers_completed = int(cl.dma_completed)
+    dma._remaining_cycles = cl.dma_remaining
+    dma.bytes_moved = cl.dma_bytes_moved
+    dma.busy_cycles = cl.dma_busy_cycles
+    dma.transfers_completed = cl.dma_completed
 
     if rc == 0:
-        _OBS_CYCLES.inc(max(0, int(final_cycle) - int(cl.start_cycle)))
+        _OBS_CYCLES.inc(max(0, final_cycle - cl.start_cycle))
         if corruption_active():
             # Mutation self-test: a one-bit lie in the architectural state,
             # exactly what a real native-engine bug would look like.  The
             # fuzz harness must flag and shrink it.
             cores[0].int_retired += 1
-        return int(final_cycle)
+        return final_cycle
     # Error paths.  For faults with a Python-engine counterpart (plus the
     # watchdog, which fires mid-run with a meaningful cycle count) settle
     # the cycle counters exactly as the Python engine does before raising.
@@ -927,8 +1003,8 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     # cl.cycle is not meaningful, so the cluster is left untouched.
     if rc in (_ERR_MAX_CYCLES, _ERR_MEM_RANGE, _ERR_SSR_MISUSE,
               _ERR_WATCHDOG):
-        cluster.tcdm.cycles += int(final_cycle) - cluster.cycle
-        cluster.cycle = int(final_cycle)
+        cluster.tcdm.cycles += final_cycle - cluster.cycle
+        cluster.cycle = final_cycle
     if rc == _ERR_MAX_CYCLES:
         from repro.snitch.cluster import ClusterError
 
@@ -940,7 +1016,7 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
         from repro.snitch.main_memory import MemoryError_
 
         raise MemoryError_(
-            f"tcdm: native-engine access at 0x{int(cl.err_addr):08x} out of "
+            f"tcdm: native-engine access at 0x{cl.err_addr:08x} out of "
             f"range [0x{cluster.tcdm.base:08x}, "
             f"0x{cluster.tcdm.base + cluster.tcdm.size:08x})"
         )
@@ -950,18 +1026,23 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
         raise SsrConfigError("data mover configured or used inconsistently "
                              "(native engine)")
     # Guard-level faults: structured error the supervisor can route.
-    raise NativeEngineError(
-        int(rc), ERROR_NAMES.get(int(rc), "unknown"),
-        hart=int(cl.err_hart), pc=int(cl.err_pc), addr=int(cl.err_addr))
+    raise NativeEngineError(rc, ERROR_NAMES.get(rc, "unknown"),
+                            hart=cl.err_hart, pc=cl.err_pc, addr=cl.err_addr)
 
 
-def _pack_core(ffi, cl, co, core, lines, keep_alive):
-    """Fill one NatCore record from a SnitchCore; returns sync-back handles."""
+def _bytes_view(buffer) -> ctypes.Array:
+    """A ``uint8_t`` array sharing ``buffer``'s memory (no copy)."""
+    return (ctypes.c_uint8 * len(buffer)).from_buffer(buffer)
+
+
+def _pack_core(co, core, line_insts: int, lines) -> bytearray:
+    """Fill one NatCore record from a SnitchCore; returns the residency
+    buffer the engine updates in place."""
     plen = core._plen
     co.pc = core.pc
     co.plen = plen
     co.stall_until = core._stall_until
-    co.finished = int(core.finished)
+    co.finished = core.finished
     co.finish_cycle = (core.finish_cycle
                        if core.finish_cycle is not None else -1)
     co.int_retired = core.int_retired
@@ -973,17 +1054,10 @@ def _pack_core(ffi, cl, co, core, lines, keep_alive):
     co.st_branch = stalls.branch
     co.st_lsu_conflict = stalls.lsu_conflict
     co.st_div = stalls.div
-    for i, value in enumerate(core.int_regs._regs):
-        co.iregs[i] = value
-    for i, value in enumerate(core.fp_regs._regs):
-        co.fregs[i] = value
-    for i, value in enumerate(core.fpu._scoreboard):
-        co.scoreboard[i] = value
-    co.q_head = 0
-    co.q_len = 0
+    co.iregs[:] = core.int_regs._regs
+    co.fregs[:] = core.fp_regs._regs
+    co.scoreboard[:] = core.fpu._scoreboard
     co.cur.kind = -1
-    co.blk_inst = 0
-    co.blk_rep = 0
     fstats = core.fpu.stats
     co.issued_compute = fstats.issued_compute
     co.issued_mem = fstats.issued_mem
@@ -994,33 +1068,27 @@ def _pack_core(ffi, cl, co, core, lines, keep_alive):
     co.stall_raw = fstats.stall_raw
     co.stall_mem = fstats.stall_mem
     co.idle_empty = fstats.idle_empty
-    co.ssr_enabled = int(core.ssr.enabled)
-    co.any_active = int(core.ssr._any_active)
-    for dm, mover in enumerate(core.ssr.movers):
-        cm = co.movers[dm]
+    co.ssr_enabled = core.ssr.enabled
+    co.any_active = core.ssr._any_active
+    # Queue, FIFO and in-flight counters start at zero: eligibility
+    # guarantees empty offload queues, stream FIFOs and index queues.
+    for cm, mover in zip(co.movers, core.ssr.movers):
         cfg = mover.cfg
-        cm.cfg_write = int(cfg.write)
-        cm.cfg_indirect = int(cfg.indirect)
+        cm.cfg_write = cfg.write
+        cm.cfg_indirect = cfg.indirect
         cm.idx_base = cfg.idx_base
         cm.idx_count = cfg.idx_count
         cm.idx_size = cfg.idx_size
         cm.dims = cfg.dims
-        for d in range(4):
-            cm.bounds[d] = cfg.bounds[d]
-            cm.strides[d] = cfg.strides[d]
+        cm.bounds[:] = cfg.bounds
+        cm.strides[:] = cfg.strides
         cm.base = cfg.base
-        cm.indirect_capable = int(mover.indirect_capable)
-        cm.fifo_head = 0
-        cm.fifo_len = 0
+        cm.indirect_capable = mover.indirect_capable
         cm.launch_base = mover._launch_base
-        cm.remaining = 0
         cm.idx_pos = mover._idx_pos
-        cm.idxq_head = 0
-        cm.idxq_len = 0
-        cm.affine_active = int(mover._affine_active)
-        cm.affine_remaining = 0
+        cm.affine_active = mover._affine_active
         cm.seq_pos = mover._seq_pos
-        cm.active = int(mover._active)
+        cm.active = mover._active
         cm.cum_data = mover._cum_data
         cm.cum_idx = mover._cum_idx
         cm.word_i = mover._word_i
@@ -1028,90 +1096,79 @@ def _pack_core(ffi, cl, co, core, lines, keep_alive):
         cm.denied_idx = mover._denied_idx
 
     table = decode_program(core.program, core.params)
-    prog_buf = ffi.from_buffer(table)
-    resident = np.array(core._resident, dtype=np.uint8)
-    if resident.size == 0:
-        resident = np.zeros(1, dtype=np.uint8)
-    nlines = max((plen + cl.line_insts - 1) // cl.line_insts, 1)
-    line_present = np.zeros(nlines, dtype=np.uint8)
+    co.prog = (ctypes.c_int64 * table.size).from_buffer(table)
+    resident = bytearray(core._resident) or bytearray(1)
+    co.resident = _bytes_view(resident)
+    nlines = max((plen + line_insts - 1) // line_insts, 1)
     base_key = core.hart_id * _HART_SHIFT
-    for line in range(nlines):
-        if base_key + line in lines:
-            line_present[line] = 1
-    res_buf = ffi.from_buffer(resident)
-    lp_buf = ffi.from_buffer(line_present)
-    keep_alive.extend((table, prog_buf, resident, res_buf,
-                       line_present, lp_buf))
-    co.prog = ffi.cast("int64_t *", prog_buf)
-    co.resident = ffi.cast("uint8_t *", res_buf)
-    co.line_present = ffi.cast("uint8_t *", lp_buf)
+    co.line_present = _bytes_view(bytearray(
+        base_key + line in lines for line in range(nlines)))
     co.hart_id = core.hart_id
     return resident
 
 
-def _unpack_core(co, core, resident) -> None:
-    core.pc = int(co.pc)
-    core._stall_until = int(co.stall_until)
+def _unpack_core(co, core, resident: bytearray) -> None:
+    core.pc = co.pc
+    core._stall_until = co.stall_until
     core.finished = bool(co.finished)
-    core.finish_cycle = int(co.finish_cycle) if co.finish_cycle >= 0 else None
-    core.int_retired = int(co.int_retired)
+    core.finish_cycle = co.finish_cycle if co.finish_cycle >= 0 else None
+    core.int_retired = co.int_retired
     stalls = core.stalls
-    stalls.offload_full = int(co.st_offload_full)
-    stalls.ssr_launch = int(co.st_ssr_launch)
-    stalls.barrier = int(co.st_barrier)
-    stalls.icache = int(co.st_icache)
-    stalls.branch = int(co.st_branch)
-    stalls.lsu_conflict = int(co.st_lsu_conflict)
-    stalls.div = int(co.st_div)
-    core.int_regs._regs = [int(co.iregs[i]) for i in range(32)]
-    core.fp_regs._regs = [float(co.fregs[i]) for i in range(32)]
+    stalls.offload_full = co.st_offload_full
+    stalls.ssr_launch = co.st_ssr_launch
+    stalls.barrier = co.st_barrier
+    stalls.icache = co.st_icache
+    stalls.branch = co.st_branch
+    stalls.lsu_conflict = co.st_lsu_conflict
+    stalls.div = co.st_div
+    core.int_regs._regs = co.iregs[:]
+    core.fp_regs._regs = co.fregs[:]
     fpu = core.fpu
-    fpu._scoreboard = [int(co.scoreboard[i]) for i in range(32)]
+    fpu._scoreboard = co.scoreboard[:]
     fstats = fpu.stats
-    fstats.issued_compute = int(co.issued_compute)
-    fstats.issued_mem = int(co.issued_mem)
-    fstats.issued_move = int(co.issued_move)
-    fstats.flops = int(co.flops)
-    fstats.stall_ssr_read = int(co.stall_ssr_read)
-    fstats.stall_ssr_write = int(co.stall_ssr_write)
-    fstats.stall_raw = int(co.stall_raw)
-    fstats.stall_mem = int(co.stall_mem)
-    fstats.idle_empty = int(co.idle_empty)
+    fstats.issued_compute = co.issued_compute
+    fstats.issued_mem = co.issued_mem
+    fstats.issued_move = co.issued_move
+    fstats.flops = co.flops
+    fstats.stall_ssr_read = co.stall_ssr_read
+    fstats.stall_ssr_write = co.stall_ssr_write
+    fstats.stall_raw = co.stall_raw
+    fstats.stall_mem = co.stall_mem
+    fstats.idle_empty = co.idle_empty
     fpu._flushed_mem = fstats.issued_mem
     _unpack_fpu_queue(co, core)
     ssr = core.ssr
     ssr.enabled = bool(co.ssr_enabled)
     ssr._any_active = bool(co.any_active)
-    for dm, mover in enumerate(ssr.movers):
-        cm = co.movers[dm]
+    for cm, mover in zip(co.movers, ssr.movers):
         cfg = mover.cfg
         cfg.write = bool(cm.cfg_write)
         cfg.indirect = bool(cm.cfg_indirect)
-        cfg.idx_base = int(cm.idx_base)
-        cfg.idx_count = int(cm.idx_count)
-        cfg.idx_size = int(cm.idx_size)
-        cfg.dims = int(cm.dims)
-        cfg.bounds = [int(cm.bounds[d]) for d in range(4)]
-        cfg.strides = [int(cm.strides[d]) for d in range(4)]
-        cfg.base = int(cm.base)
-        mover._launch_base = int(cm.launch_base)
-        mover._remaining = int(cm.remaining)
-        mover._idx_pos = int(cm.idx_pos)
+        cfg.idx_base = cm.idx_base
+        cfg.idx_count = cm.idx_count
+        cfg.idx_size = cm.idx_size
+        cfg.dims = cm.dims
+        cfg.bounds = cm.bounds[:]
+        cfg.strides = cm.strides[:]
+        cfg.base = cm.base
+        mover._launch_base = cm.launch_base
+        mover._remaining = cm.remaining
+        mover._idx_pos = cm.idx_pos
         mover._affine_active = bool(cm.affine_active)
-        mover._affine_remaining = int(cm.affine_remaining)
-        mover._seq_pos = int(cm.seq_pos)
+        mover._affine_remaining = cm.affine_remaining
+        mover._seq_pos = cm.seq_pos
         mover._active = bool(cm.active)
-        mover._cum_data = int(cm.cum_data)
-        mover._cum_idx = int(cm.cum_idx)
-        mover._word_i = int(cm.word_i)
-        mover._denied_data = int(cm.denied_data)
-        mover._denied_idx = int(cm.denied_idx)
-        mover._fifo = deque(
-            float(cm.fifo[(cm.fifo_head + i) & 63])
-            for i in range(cm.fifo_len))
+        mover._cum_data = cm.cum_data
+        mover._cum_idx = cm.cum_idx
+        mover._word_i = cm.word_i
+        mover._denied_data = cm.denied_data
+        mover._denied_idx = cm.denied_idx
+        fifo, head = cm.fifo, cm.fifo_head
+        mover._fifo = deque(fifo[(head + i) & 63]
+                            for i in range(cm.fifo_len))
+        idxq_addr, idxq_bank, head = cm.idxq_addr, cm.idxq_bank, cm.idxq_head
         mover._idx_queue = deque(
-            (int(cm.idxq_addr[(cm.idxq_head + i) & 7]),
-             int(cm.idxq_bank[(cm.idxq_head + i) & 7]))
+            (idxq_addr[(head + i) & 7], idxq_bank[(head + i) & 7])
             for i in range(cm.idxq_len))
         mover._flushed_granted = (mover._granted_data + mover._granted_idx)
         # Rebuild the Python engine's precomputed sequences for any stream
@@ -1124,9 +1181,7 @@ def _unpack_core(co, core, resident) -> None:
     # The FPU re-resolves stream FIFOs by reference; replacing the deques
     # above would break that, so re-point the cached tuple.
     fpu._fifos = tuple(m._fifo for m in ssr.movers)
-    core._resident = resident.astype(bool).tolist()
-    if len(core._resident) > core._plen:
-        core._resident = core._resident[:core._plen]
+    core._resident = list(map(bool, resident[:core._plen]))
 
 
 def _unpack_fpu_queue(co, core) -> None:

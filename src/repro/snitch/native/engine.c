@@ -15,10 +15,13 @@
  * busy mask per cycle instead of a Python set.
  *
  * Compiled on demand by repro.snitch.native (gcc -O2 -fno-fast-math
- * -ffp-contract=off) and loaded through cffi's ABI mode; the struct
- * declarations between the CDEF markers are fed to ffi.cdef() verbatim, so
- * the two sides cannot drift apart (layout is additionally guarded by the
- * nat_sizeof_* checks at load time).
+ * -ffp-contract=off) and loaded through Python's ctypes; the ctypes
+ * structures and prototypes are generated from the declarations between
+ * the CDEF markers, so this file is the only definition of the ABI (layout
+ * is additionally guarded by the nat_sizeof_* checks at load time).  Keep
+ * that block to the subset the generator reads: typedef'd structs of
+ * int64_t / double / uint8_t scalars, pointers and fixed-size arrays, and
+ * prototypes over those types.
  *
  * Floating-point note: CPython float arithmetic is IEEE-754 double precision
  * with round-to-nearest, which is exactly C `double` arithmetic on every

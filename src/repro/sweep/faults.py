@@ -27,7 +27,7 @@ modes:
 ``native``
     Raise a structured :class:`repro.snitch.native.NativeEngineError`
     (code ``bounds``), exactly what an in-engine guard returns through the
-    cffi boundary — exercises the supervisor's in-band ``native_fault``
+    ctypes call — exercises the supervisor's in-band ``native_fault``
     degradation path (no pool respawn, no bisection).  Usually combined
     with ``engine=native`` so the degraded Python retry runs clean.
 

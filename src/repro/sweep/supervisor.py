@@ -718,7 +718,7 @@ class SupervisedPool:
             pass
         elif kind == "native_fault" and self.policy.degrade_to_python:
             # The engine's own guards caught the problem and returned a
-            # structured error through the cffi boundary: the worker is
+            # structured error through the ctypes call: the worker is
             # healthy, the fault is deterministic, and the remedy is known.
             # Degrade straight to the Python engine — in-band, no suspect
             # quarantine, no pool respawn, no bisection.

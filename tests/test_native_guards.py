@@ -1,11 +1,15 @@
 """Native-engine defense-in-depth: handshake, watchdog, fault degradation.
 
-Covers the guard layer added around the C engine: the ABI handshake on
-every entry, the cycle-budget watchdog, the structured
+Covers the guard layer added around the C engine: the load-time layout
+check and build-failure reporting, the ABI handshake on every entry, the
+cycle-budget watchdog, the structured
 :class:`~repro.snitch.native.NativeEngineError` surface, and the
 supervised-sweep policy that routes those faults to one in-band
 forced-Python retry — no pool respawn, no batch bisection.
 """
+
+import ctypes
+import tempfile
 
 import pytest
 
@@ -37,6 +41,53 @@ def _spin_cluster(num_cores=2):
     cluster.load_programs([assemble(_SPIN, name=f"spin{i}")
                            for i in range(num_cores)])
     return cluster
+
+
+def _reload_engine(monkeypatch):
+    """Forget the loaded engine for this test; the next call reloads it."""
+    monkeypatch.setattr(native, "_ENGINE", None)
+    monkeypatch.setattr(native, "_DISABLED_REASON", None)
+
+
+class TestLoadTimeChecks:
+    def test_healthy_layout_loads(self, monkeypatch):
+        _reload_engine(monkeypatch)
+        assert native.available()
+        assert native.disabled_reason() is None
+        layout, lib = native._ENGINE
+        assert lib.nat_sizeof_cluster() == ctypes.sizeof(layout.NatCluster)
+        assert native.execute(_spin_cluster(), max_cycles=10_000_000)
+
+    def test_layout_disagreeing_with_library_is_refused(self, monkeypatch):
+        real_layout = native._ctypes_layout
+
+        def skewed(cdef):
+            # One field more than the compiled library knows about.
+            assert "int64_t watchdog;" in cdef
+            return real_layout(cdef.replace("int64_t watchdog;",
+                                            "int64_t watchdog, skew;"))
+
+        monkeypatch.setattr(native, "_ctypes_layout", skewed)
+        _reload_engine(monkeypatch)
+        assert not native.available()
+        assert "ABI mismatch" in native.disabled_reason()
+        fallbacks = native.run_stats["fallback"]
+        assert native.execute(_spin_cluster(), max_cycles=10_000) is None
+        assert native.run_stats["fallback"] == fallbacks + 1
+
+    @pytest.mark.skipif(native._find_compiler() is None,
+                        reason="needs a C compiler")
+    def test_compile_failure_reports_the_compiler_error(self, monkeypatch,
+                                                        tmp_path):
+        monkeypatch.setenv(native.CFLAGS_ENV_VAR, "-fno-such-flag")
+        monkeypatch.setenv(native.NATIVE_DIR_ENV_VAR, str(tmp_path / "so"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        _reload_engine(monkeypatch)
+        assert not native.available()
+        reason = native.disabled_reason()
+        assert reason.startswith("C compiler failed: ")
+        assert "-fno-such-flag" in reason
+        assert "\n" not in reason
 
 
 class TestHandshake:
