@@ -888,20 +888,20 @@ def _machine_choices() -> List[str]:
     return machine_names()
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+def build_parser(command: str = "") -> argparse.ArgumentParser:
     """Build the CLI argument parser (choices track the live registries).
 
     Every subcommand is listed.  A subcommand whose arguments name kernels,
     variants, machines or artifact subsets gets those arguments only when
-    it is ``command`` (or ``command`` is ``None``), so parsing loads the
-    registries only for a subcommand that takes them.
+    it is ``command``, so parsing loads the registries only for a
+    subcommand that takes them.
     """
     parser = argparse.ArgumentParser(prog="repro",
                                      description="SARIS reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def wanted(name: str) -> bool:
-        return command is None or command == name
+        return command == name
 
     list_p = sub.add_parser(
         "list", help="list registered kernels, variants and machine presets")

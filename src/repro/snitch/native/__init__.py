@@ -776,10 +776,27 @@ def _dma_eligible(cluster) -> bool:
     return True
 
 
-def _cluster_eligible(cluster) -> bool:
+#: The engine keeps every integer in an ``int64_t``.  ctypes stores a wider
+#: Python int into such a field modulo 2**64, without an error, and the
+#: engine adds latencies to cycle counts, so a run stays native only while
+#: no packed value or sum can overflow: every integer timing parameter (an
+#: RV32 address or size, a latency) within +-2**32, the start cycle, cycle
+#: budget and watchdog within +-2**62.  Larger values run on the Python
+#: engine, whose ints do not overflow.
+_PARAM_LIMIT = 1 << 32
+_CYCLE_LIMIT = 1 << 62
+
+
+def _cluster_eligible(cluster, max_cycles: int, watchdog: int) -> bool:
     params = cluster.params
     cores = cluster.cores
     if not cores or len(cores) > 64:
+        return False
+    if not all(-_CYCLE_LIMIT <= cycles < _CYCLE_LIMIT
+               for cycles in (cluster.cycle, max_cycles, watchdog)):
+        return False
+    if not all(-_PARAM_LIMIT <= value < _PARAM_LIMIT
+               for value in vars(params).values() if isinstance(value, int)):
         return False
     if not 1 <= params.tcdm_banks <= 64 or params.tcdm_bank_width < 1:
         return False
@@ -877,7 +894,8 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
         _OBS_FALLBACK_RUNS.inc()
         return None
     layout, lib = _load_engine()
-    if lib is None or not _cluster_eligible(cluster):
+    watchdog = _watchdog_cycles(watchdog)
+    if lib is None or not _cluster_eligible(cluster, max_cycles, watchdog):
         run_stats["fallback"] += 1
         _OBS_FALLBACK_RUNS.inc()
         return None
@@ -896,7 +914,7 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
 
     cl.magic = _MAGIC
     cl.abi = _ABI_VERSION
-    cl.watchdog = _watchdog_cycles(watchdog)
+    cl.watchdog = watchdog
     cl.num_cores = num_cores
     cl.num_banks = params.tcdm_banks
     cl.bank_width = params.tcdm_bank_width

@@ -16,7 +16,7 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.runner import run_kernel
 from repro.snitch import native
-from repro.snitch.cluster import SnitchCluster
+from repro.snitch.cluster import ClusterError, SnitchCluster
 from repro.snitch.params import TimingParams
 from repro.sweep import ResultStore, SweepJob, run_sweep
 from repro.sweep.faults import FaultSpec, injected
@@ -88,6 +88,62 @@ class TestLoadTimeChecks:
         assert reason.startswith("C compiler failed: ")
         assert "-fno-such-flag" in reason
         assert "\n" not in reason
+
+
+_SHORT_SPIN = """
+    li x5, 100
+loop:
+    addi x5, x5, -1
+    bne x5, x0, loop
+"""
+
+
+def _outcome(params, max_cycles):
+    """What one short spin run returns or raises, plus the final state."""
+    cluster = SnitchCluster(params)
+    cluster.load_programs([assemble(_SHORT_SPIN, name=f"short{i}")
+                           for i in range(params.num_cores)])
+    try:
+        cluster.run(max_cycles=max_cycles)
+        outcome = "ok"
+    except ClusterError as exc:
+        outcome = str(exc)
+    return outcome, cluster.cycle, [core.int_retired for core in cluster.cores]
+
+
+class TestIntegerLimits:
+    """ctypes wraps an int that does not fit an ``int64_t`` field without an
+    error, and the engine's cycle arithmetic is ``int64_t``: values beyond
+    the engine's limits must run on the Python engine, never produce a
+    native result the Python engine would not."""
+
+    @pytest.mark.parametrize("overrides, max_cycles", [
+        ({"branch_taken_penalty": 2**64 + 1}, 5_000),
+        ({"branch_taken_penalty": 2**63 - 1}, 5_000),
+        ({"icache_miss_penalty": 2**64 + 12}, 5_000),
+        ({"div_latency": 2**64 + 8}, 5_000),
+        ({"tcdm_bank_width": 2**64 + 8}, 5_000),
+        ({"dma_row_setup_cycles": 2**64 + 2}, 5_000),
+        ({}, 2**64 + 5),
+        ({}, 2**63 - 1),
+    ])
+    def test_out_of_range_values_run_on_python(self, overrides, max_cycles):
+        params = TimingParams(num_cores=2, **overrides)
+        fallbacks = native.run_stats["fallback"]
+        native_side = _outcome(params, max_cycles)
+        assert native.run_stats["fallback"] == fallbacks + 1
+        with native.forced_python():
+            assert _outcome(params, max_cycles) == native_side
+
+    def test_out_of_range_watchdog_runs_on_python(self):
+        assert native.execute(_spin_cluster(), max_cycles=10_000,
+                              watchdog=2**64) is None
+
+    def test_limits_keep_native_runs(self):
+        params = TimingParams(num_cores=2, branch_taken_penalty=1000)
+        natives = native.run_stats["native"]
+        assert _outcome(params, 1_000_000)[0] == "ok"
+        assert native.run_stats["native"] == natives + 1
 
 
 class TestHandshake:
