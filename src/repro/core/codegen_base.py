@@ -27,6 +27,7 @@ from repro.core.codegen_common import (
     grid_imm_offset,
     loop_strides,
     plane_key,
+    planned,
     start_pointer_address,
 )
 from repro.core.layout import TileLayout
@@ -97,7 +98,7 @@ def _coeff_names_used(block: LoweredBlock) -> List[str]:
 
 def _try_config(kernel: StencilKernel, unroll: int, resident: bool,
                 reassoc_width: int, pointer_count: int) -> Optional[_BaseConfig]:
-    block = lower_block(kernel, unroll=unroll, reassoc_width=reassoc_width)
+    block = planned(lower_block, kernel, unroll, reassoc_width)
     coeff_names = _coeff_names_used(block)
     # Internal constants introduced by lowering are always kept resident;
     # named kernel coefficients are resident only in the "resident" policy.
@@ -154,7 +155,7 @@ def generate_base_program(kernel: StencilKernel, layout: TileLayout,
     coefficient-heavy codes.
     """
     # Pointer registers needed: one per (array, z-plane) pair plus the output.
-    probe = lower_block(kernel, unroll=1, reassoc_width=reassoc_width)
+    probe = planned(lower_block, kernel, 1, reassoc_width)
     probe_keys = set()
     for op in probe.ops:
         for _idx, operand in op.grid_operands():
@@ -164,8 +165,8 @@ def generate_base_program(kernel: StencilKernel, layout: TileLayout,
     best: Optional[_BaseConfig] = None
     for unroll in geometry.block_candidates(max_unroll):
         for resident in (True, False):
-            config = _try_config(kernel, unroll, resident, reassoc_width,
-                                 pointer_count)
+            config = planned(_try_config, kernel, unroll, resident,
+                             reassoc_width, pointer_count)
             if config is None:
                 continue
             if best is None or config.est_cycles_per_point < best.est_cycles_per_point:

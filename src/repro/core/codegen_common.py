@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.isa.assembler import assemble
+from repro.isa.assembler import assemble_lines
 from repro.isa.program import Program
 from repro.isa.registers import fp_reg_name
+from repro.core.kernels import kernel_fingerprint
 from repro.core.layout import TileLayout
 from repro.core.lowering import AbstractOp, CoeffOperand, GridOperand, VReg
 from repro.core.parallel import CoreGeometry, X_INTERLEAVE, Y_INTERLEAVE
@@ -158,6 +161,52 @@ def loop_strides(layout: TileLayout,
     return y_interleave * row_bytes, plane_bytes
 
 
+#: (plans, parsed lines) memos of the active :func:`planning_scope`.
+_SCOPE: ContextVar[Optional[Tuple[dict, dict]]] = ContextVar(
+    "repro_planning_scope", default=None)
+
+
+@contextmanager
+def planning_scope() -> Iterator[None]:
+    """Share planning among the per-core backend calls of one program set.
+
+    The cores of a cluster run one SPMD program, each on its own slice of
+    the tile, so their backends lower, schedule and allocate the same
+    blocks and assemble mostly the same lines.  Inside the scope,
+    :func:`planned` computes each distinct (planner, kernel, arguments) key
+    once and :func:`assemble_generated` parses each distinct line once.
+    Emission stays per core, and every program gets fresh instructions.
+    Nothing outlives the outermost scope; a nested scope joins it.
+    """
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set(({}, {}))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def planned(planner: Callable, kernel, *args):
+    """``planner(kernel, *args)``, computed once per key in a planning scope.
+
+    ``planner`` must be pure in its arguments and the kernel's content, and
+    its callers must not mutate the result.  Outside a scope this is a plain
+    call.
+    """
+    scope = _SCOPE.get()
+    if scope is None:
+        return planner(kernel, *args)
+    plans = scope[0]
+    key = (planner, kernel_fingerprint(kernel), args)
+    if key not in plans:
+        plans[key] = planner(kernel, *args)
+    return plans[key]
+
+
 def assemble_generated(builder: AsmBuilder, name: str) -> Program:
-    """Assemble the accumulated source, attaching the program name."""
-    return assemble(builder.source(), name=name)
+    """Assemble the accumulated lines, attaching the program name."""
+    scope = _SCOPE.get()
+    return assemble_lines(builder.lines, name=name,
+                          parsed=None if scope is None else scope[1])

@@ -29,6 +29,7 @@ from repro.core.codegen_common import (
     assemble_generated,
     check_imm12,
     loop_strides,
+    planned,
     start_pointer_address,
 )
 from repro.core.layout import TileLayout
@@ -97,7 +98,7 @@ def _store_producer_edges(ops: List[AbstractOp]) -> List[Tuple[int, int]]:
 def _try_config(kernel: StencilKernel, body_unroll: int, frep_reps: int,
                 reassoc_width: int, coeff_reg_budget: int, store_streamed: bool,
                 force_store_streamed: Optional[bool]) -> Optional[_SarisConfig]:
-    block = lower_block(kernel, unroll=body_unroll, reassoc_width=reassoc_width)
+    block = planned(lower_block, kernel, body_unroll, reassoc_width)
     extra_deps = _store_producer_edges(block.ops) if store_streamed else None
     scheduled = schedule_block(block.ops, extra_deps=extra_deps)
     coeff_names = _coeff_names_used(scheduled.ops)
@@ -159,8 +160,8 @@ def generate_saris_program(kernel: StencilKernel, layout: TileLayout,
         for unroll in sorted(
                 {d for d in range(1, max_body_unroll + 1) if block_points % d == 0},
                 reverse=True):
-            body_len = len(lower_block(kernel, unroll=unroll,
-                                       reassoc_width=reassoc_width).compute_ops)
+            body_len = len(planned(lower_block, kernel, unroll,
+                                   reassoc_width).compute_ops)
             if body_len <= frep_limit:
                 candidates.append((unroll, block_points // unroll))
         if not candidates:
@@ -172,9 +173,9 @@ def generate_saris_program(kernel: StencilKernel, layout: TileLayout,
             candidates.append((unroll, 1))
     config: Optional[_SarisConfig] = None
     for body_unroll, frep_reps in candidates:
-        config = _try_config(kernel, body_unroll, frep_reps, reassoc_width,
-                             coeff_reg_budget, store_streamed,
-                             force_store_streamed)
+        config = planned(_try_config, kernel, body_unroll, frep_reps,
+                         reassoc_width, coeff_reg_budget, store_streamed,
+                         force_store_streamed)
         if config is not None:
             break
     if config is None:

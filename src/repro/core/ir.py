@@ -115,11 +115,18 @@ def mul(lhs: ExprLike, rhs: ExprLike) -> Expr:
 
 
 def walk(expr: Expr) -> Iterator[Expr]:
-    """Yield every node of the expression tree (pre-order)."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk(expr.lhs)
-        yield from walk(expr.rhs)
+    """Yield every node of the expression tree (pre-order).
+
+    Iterative: a recursive generator re-yields each node through every
+    enclosing level, which is quadratic on the long sum chains of stencils.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinOp):
+            stack.append(node.rhs)
+            stack.append(node.lhs)
 
 
 def grid_refs(expr: Expr) -> List[GridRef]:

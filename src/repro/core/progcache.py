@@ -28,9 +28,11 @@ memoization in :mod:`repro.runner` still applies).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import pickle
 import re
+import threading
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -104,6 +106,9 @@ def load(label: str, key_parts: Tuple):
     return payload.get("value")
 
 
+_save_counter = itertools.count()
+
+
 def save(label: str, key_parts: Tuple, value) -> Optional[Path]:
     """Persist a compilation result (atomic rename; failures are silent)."""
     if not cache_enabled():
@@ -112,7 +117,10 @@ def save(label: str, key_parts: Tuple, value) -> Optional[Path]:
     path = _entry_path(label, digest)
     payload = {"format": CACHE_FORMAT_VERSION, "key": key_parts,
                "value": value}
-    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    # Unique per process, thread and call: two threads compiling the same
+    # program must never write one temp file that the other publishes.
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}-"
+                         f"{threading.get_ident()}-{next(_save_counter)}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as fh:

@@ -30,7 +30,8 @@ class AssemblerError(ValueError):
     """Raised when a line of assembly cannot be parsed."""
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):$")
+#: A leading ``label:``, optionally followed by more of the line.
+_LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$")
 _MEM_RE = re.compile(r"^(-?(?:0x[0-9a-fA-F]+|\d+))\(([^)]+)\)$")
 _SUPPORTED_CSRS = frozenset({"mhartid", "mcycle", "minstret"})
 
@@ -116,8 +117,13 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
-def assemble_lines(lines: Iterable[str], name: str = "program") -> Program:
-    """Assemble an iterable of source lines into a :class:`Program`."""
+def assemble_lines(lines: Iterable[str], name: str = "program",
+                   parsed: Optional[Dict[str, Instruction]] = None) -> Program:
+    """Assemble an iterable of source lines into a :class:`Program`.
+
+    ``parsed`` memoizes instruction text across calls: each distinct line is
+    parsed once, and every program still gets its own instruction copies.
+    """
     instructions: List[Instruction] = []
     labels: Dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -125,8 +131,8 @@ def assemble_lines(lines: Iterable[str], name: str = "program") -> Program:
         if not text:
             continue
         # A line may contain `label:` alone or `label: instruction`.
-        while True:
-            match = re.match(r"^([A-Za-z_.$][\w.$]*):\s*(.*)$", text)
+        while ":" in text:
+            match = _LABEL_RE.match(text)
             if not match:
                 break
             label, rest = match.group(1), match.group(2)
@@ -134,12 +140,16 @@ def assemble_lines(lines: Iterable[str], name: str = "program") -> Program:
                 raise AssemblerError(f"duplicate label {label!r} at line {lineno}")
             labels[label] = len(instructions)
             text = rest.strip()
-            if not text:
-                break
         if not text:
             continue
         try:
-            instructions.append(parse_instruction(text))
+            if parsed is None:
+                instructions.append(parse_instruction(text))
+            else:
+                template = parsed.get(text)
+                if template is None:
+                    template = parsed[text] = parse_instruction(text)
+                instructions.append(Instruction(**vars(template)))
         except AssemblerError as exc:
             raise AssemblerError(f"line {lineno}: {exc}") from exc
     return Program(instructions=instructions, labels=labels, name=name)

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.core import progcache
-from repro.core.codegen_common import GeneratedProgram
+from repro.core.codegen_common import GeneratedProgram, planning_scope
 from repro.core.kernels import get_kernel, kernel_fingerprint
 from repro.fingerprint import callable_fingerprint
 from repro.core.layout import TileLayout, build_layout
@@ -406,7 +406,9 @@ def generate_programs(kernel: StencilKernel, layout: TileLayout, cluster: Snitch
 
     Dispatches through the variant registry
     (:mod:`repro.core.variants`), so registered third-party backends work
-    everywhere built-ins do.
+    everywhere built-ins do.  The per-core calls share one
+    :func:`~repro.core.codegen_common.planning_scope`: the cores run one
+    SPMD program, so each distinct plan is computed once per call.
     """
     try:
         spec = get_variant(variant)
@@ -417,8 +419,10 @@ def generate_programs(kernel: StencilKernel, layout: TileLayout, cluster: Snitch
                                   num_cores=cluster.params.num_cores,
                                   x_interleave=x_interleave,
                                   y_interleave=y_interleave)
-    return [spec.generate(kernel, layout, geometry, cluster, **codegen_kwargs)
-            for geometry in geometries]
+    with planning_scope():
+        return [spec.generate(kernel, layout, geometry, cluster,
+                              **codegen_kwargs)
+                for geometry in geometries]
 
 
 def run_kernel(kernel: Union[str, StencilKernel], variant: str = "saris",

@@ -148,6 +148,9 @@ class SnitchCluster:
         rotations = [tuple(records[r:] + records[:r]) for r in range(num_cores)]
         cycle = self.cycle
         start_cycle = cycle
+        # First cycle past the budget: a fast-forward never jumps beyond it,
+        # so an over-budget run stops there exactly like the native engine.
+        budget_end = start_cycle + max_cycles + 1
         num_live = sum(1 for core in cores if not core.finished)
         while True:
             if cycle - start_cycle > max_cycles:
@@ -176,7 +179,10 @@ class SnitchCluster:
                 if first_fpu._current is None and not first_fpu._queue:
                     wake = self._quiescent_until(cycle)
                     if wake is not None and wake - cycle >= 2:
-                        cycle = self._fast_forward(cycle, wake)
+                        cycle = self._fast_forward(cycle,
+                                                   min(wake, budget_end))
+                        if cycle == budget_end:
+                            continue  # the budget check above raises
             busy_banks.clear()
             for record in rotations[cycle % num_cores]:
                 core, fpu, fpu_stats, ssr, movers, handlers, stalls = record

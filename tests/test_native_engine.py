@@ -25,8 +25,8 @@ def _cluster_state(cluster):
     """Every piece of state the Python engine leaves behind after a run."""
     state = {
         "cycle": cluster.cycle,
-        "tcdm": (cluster.tcdm.total_requests, cluster.tcdm.granted_requests,
-                 cluster.tcdm.conflicts),
+        "tcdm": (cluster.tcdm.cycles, cluster.tcdm.total_requests,
+                 cluster.tcdm.granted_requests, cluster.tcdm.conflicts),
         "icache": (cluster.icache.hits, cluster.icache.misses,
                    tuple(cluster.icache._lines.keys())),
         "mem": bytes(cluster.tcdm._data),
@@ -290,6 +290,34 @@ class TestNativeBehaviour:
         cluster.load_programs([assemble("loop:\n  j loop\n")])
         with pytest.raises(ClusterError):
             cluster.run(max_cycles=200)
+
+    @pytest.mark.parametrize("penalty", [12, 19, 21, 50])
+    def test_budget_overrun_leaves_identical_state(self, penalty):
+        # Both cores stall on their first icache miss.  A penalty that
+        # reaches past the 20-cycle budget must not let the Python engine's
+        # fast-forward execute the wake cycle before the budget check.
+        params = TimingParams(num_cores=2, icache_miss_penalty=penalty)
+        states = []
+        for force_python in (False, True):
+            cluster = SnitchCluster(params)
+            cluster.load_programs([assemble("loop:\n  addi t0, t0, 1\n"
+                                            "  j loop\n", name=f"p{i}")
+                                   for i in range(2)])
+            native_runs = native.run_stats["native"]
+            with pytest.raises(ClusterError, match="exceeded 20 cycles"):
+                if force_python:
+                    with native.forced_python():
+                        cluster.run(max_cycles=20)
+                else:
+                    cluster.run(max_cycles=20)
+            assert native.run_stats["native"] == native_runs + (not force_python)
+            states.append(_cluster_state(cluster))
+        assert states[1] == states[0]
+        assert states[0]["cycle"] == 21
+        if penalty >= 21:
+            for hart in (0, 1):
+                assert states[0][hart]["int_retired"] == 0
+                assert states[0][hart]["fpu"][-1] == 21  # idle_empty
 
     def test_icache_pressure_falls_back_to_python(self, monkeypatch):
         # A cluster whose programs cannot all stay resident needs the LRU

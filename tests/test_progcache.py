@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -164,3 +166,40 @@ class TestInvalidation:
         monkeypatch.setattr(progcache, "codegen_fingerprint",
                             lambda: "deadbeefcafe")
         assert not list(progcache.cache_dir().glob("*.pkl"))
+
+
+class TestConcurrentSaves:
+    def test_threads_saving_one_key_never_publish_partial_entries(
+            self, isolated_cache):
+        """Two threads of one process compiling the same program (``repro
+        serve --workers N`` lanes, ``repro worker --jobs N``) save one key
+        at once.  While a valid entry exists, every load must hit."""
+        key = ("stress", 1)
+        value = [float(i) for i in range(20_000)]  # a multi-write pickle
+        assert progcache.save("stress", key, value) is not None
+        stop = threading.Event()
+
+        def saver():
+            while not stop.is_set():
+                progcache.save("stress", key, value)
+
+        savers = [threading.Thread(target=saver) for _ in range(2)]
+        loads = misses = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in savers:
+                thread.start()
+            deadline = time.monotonic() + 1.0
+            while time.monotonic() < deadline:
+                loads += 1
+                misses += progcache.load("stress", key) is None
+        finally:
+            stop.set()
+            for thread in savers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in savers)
+        assert loads > 50
+        assert misses == 0, f"{misses} of {loads} loads missed"
+        assert not list(progcache.cache_dir().glob("*.tmp*"))
