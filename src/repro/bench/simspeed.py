@@ -145,7 +145,6 @@ def run_suite_benchmark(
         "cpu_count": os.cpu_count(),
         "parallel_workers": workers,
         "parallel_effective": parallel.parallel_effective,
-        "batch_size": parallel.batch_size,
         "serial_wall_seconds": round(serial_wall, 3),
         "parallel_wall_seconds": round(parallel.wall_seconds, 3),
         "warm_cache_wall_seconds": round(warm.wall_seconds, 3),
@@ -359,8 +358,7 @@ def print_report(report: Dict[str, object]) -> None:
         print(f"  serial:             {suite['serial_wall_seconds']:.2f} s")
         effective = "" if suite.get("parallel_effective", True) else \
             " [not effective: single CPU]"
-        print(f"  parallel ({suite['parallel_workers']} workers, "
-              f"batch {suite.get('batch_size', 1)}): "
+        print(f"  parallel ({suite['parallel_workers']} workers): "
               f"{suite['parallel_wall_seconds']:.2f} s "
               f"({suite['parallel_speedup']:.2f}x){effective}")
         print(f"  warm cache:         {suite['warm_cache_wall_seconds']:.2f} s "

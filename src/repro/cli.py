@@ -888,6 +888,18 @@ def _machine_choices() -> List[str]:
     return machine_names()
 
 
+def _positive(kind):
+    """Argparse type for supervision flags: a ``kind`` (int or float) > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" message
+    return parse
+
+
 def build_parser(command: str = "") -> argparse.ArgumentParser:
     """Build the CLI argument parser (choices track the live registries).
 
@@ -1011,19 +1023,16 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                               "intent and refuses --no-cache)")
     repro_p.add_argument("--on-error", choices=["raise", "collect"],
                          default="raise",
-                         help="job-failure policy: abort on the first "
-                              "failure (raise, default) or finish every "
-                              "healthy job and report structured failures "
-                              "(collect); collect enables supervised "
-                              "execution with retry and crash recovery")
-    repro_p.add_argument("--timeout", type=float, default=None,
+                         help="what a job that fails for good does: abort "
+                              "the run (raise, default) or leave a "
+                              "structured failure beside every healthy "
+                              "job's result (collect)")
+    repro_p.add_argument("--timeout", type=_positive(float), default=None,
                          help="per-job wall-clock timeout in seconds "
-                              "(default: $REPRO_SWEEP_TIMEOUT or none); "
-                              "enables supervised execution")
-    repro_p.add_argument("--retries", type=int, default=None,
+                              "(default: $REPRO_SWEEP_TIMEOUT or none)")
+    repro_p.add_argument("--retries", type=_positive(int), default=None,
                          help="maximum attempts per job (default: "
-                              "$REPRO_SWEEP_RETRIES or 3 when supervised); "
-                              "enables supervised execution")
+                              "$REPRO_SWEEP_RETRIES or 3)")
     repro_p.set_defaults(func=_cmd_reproduce)
 
     fuzz_p = sub.add_parser(
@@ -1074,7 +1083,7 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
     serve_p.add_argument("--workers", type=int, default=None,
                          help="concurrent simulations (default: cpu-bound "
                               "heuristic)")
-    serve_p.add_argument("--retries", type=int, default=None,
+    serve_p.add_argument("--retries", type=_positive(int), default=None,
                          help="max attempts per job before it is reported "
                               "failed (default: supervisor policy)")
     serve_p.add_argument("--cache-dir", default=None,
@@ -1091,7 +1100,7 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                          help="coordinator mode: no local simulations; "
                               "jobs are leased to `repro worker` processes "
                               "over /v1/fabric with TTL-based ownership")
-    serve_p.add_argument("--lease-ttl", type=float, default=None,
+    serve_p.add_argument("--lease-ttl", type=_positive(float), default=None,
                          help="fabric lease TTL in seconds (default: "
                               "$REPRO_FABRIC_TTL or 10)")
     serve_p.set_defaults(func=_cmd_serve)
@@ -1110,7 +1119,7 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
     worker_p.add_argument("--jobs", type=int, default=1,
                           help="concurrent leased jobs (default: "
                                "%(default)s)")
-    worker_p.add_argument("--retries", type=int, default=None,
+    worker_p.add_argument("--retries", type=_positive(int), default=None,
                           help="max attempts per job in the local "
                                "supervised ladder (default: supervisor "
                                "policy)")

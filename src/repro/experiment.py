@@ -4,7 +4,7 @@ The paper's headline artifacts all have the shape "kernel x codegen variant x
 machine configuration -> metrics".  :class:`Experiment` expresses that shape
 directly — a fluent builder that lowers its cross product onto the parallel
 sweep engine (deduplicated :class:`~repro.sweep.job.SweepJob` lists, the
-persistent result store, process-pool fan-out) and returns a
+persistent result store, supervised worker processes) and returns a
 :class:`ResultSet` with ``filter`` / ``group_by`` / ``table`` / ``to_json``
 for analysis::
 
@@ -27,7 +27,7 @@ Everything is a registered name (or the corresponding object), so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -392,18 +392,17 @@ class Experiment:
             retries: Optional[int] = None) -> ResultSet:
         """Execute through the sweep engine and return a :class:`ResultSet`.
 
-        ``workers`` picks the process-pool width (1 forces the bit-identical
+        ``workers`` picks the worker-pool width (1 forces the bit-identical
         serial path); ``cache`` consults and updates the persistent
         machine-aware result store under ``cache_dir``.
 
-        ``on_error="collect"`` (or a ``timeout`` in seconds per job, or a
-        ``retries`` attempt cap) runs the sweep supervised — see
-        :mod:`repro.sweep.supervisor`: failing jobs are retried with
-        backoff, crashed or hung workers are recovered, and whatever still
-        fails is *omitted* from the records, with the structured failure
-        list available as ``result_set.failures`` (and on
-        ``result_set.report``).  The default ``on_error="raise"`` keeps the
-        historical fail-fast contract.
+        The sweep always runs supervised (see :mod:`repro.sweep.supervisor`):
+        failing jobs are retried with backoff, and a crashed or hung job's
+        worker is replaced.  ``timeout`` (seconds per job) and ``retries``
+        (an attempt cap) set that policy.  A job that still fails is raised
+        by the default ``on_error="raise"``; with ``on_error="collect"`` it
+        is *omitted* from the records, with the structured failure list
+        available as ``result_set.failures`` (and on ``result_set.report``).
 
         Plug-in kernels/variants registered by the calling script reach pool
         workers by process inheritance, which requires the ``fork`` start
@@ -415,12 +414,8 @@ class Experiment:
 
         retry = None
         if retries is not None:
-            base = RetryPolicy.resolve(None, timeout)
-            retry = RetryPolicy(max_attempts=int(retries),
-                                backoff_seconds=base.backoff_seconds,
-                                backoff_factor=base.backoff_factor,
-                                timeout_seconds=base.timeout_seconds,
-                                degrade_to_python=base.degrade_to_python)
+            retry = replace(RetryPolicy.resolve(None, timeout),
+                            max_attempts=int(retries))
         jobs = self.jobs()
         store = ResultStore(cache_dir) if cache else None
         report = run_sweep(jobs, workers=workers, store=store,

@@ -526,6 +526,42 @@ def direct_scaleout_pair(kernel: Union[str, StencilKernel],
     return next(iter(table.values()))
 
 
+def direct_scaleout_jobs(kernels: Sequence[Union[str, StencilKernel]],
+                         machine: MachineLike = "manticore-2",
+                         seed: int = 0) -> List[SweepJob]:
+    """Every per-cluster tile job behind :func:`direct_scaleout_table`.
+
+    Per kernel, the base clusters then the SARIS clusters — the order
+    :func:`assemble_direct_scaleout_table` reads the results back in.
+    """
+    machine_spec = resolve_machine(machine)
+    return [job for kernel in kernels for variant in paper_variants()
+            for job in scaleout_jobs(kernel, variant, machine_spec,
+                                     seed=seed)]
+
+
+def assemble_direct_scaleout_table(
+        kernels: Sequence[Union[str, StencilKernel]],
+        machine: MachineLike, results: Sequence[KernelRunResult],
+        tiles_per_cluster: int = DEFAULT_TILES_PER_CLUSTER, seed: int = 0,
+        grid_shape: Optional[Tuple[int, ...]] = None
+        ) -> Dict[str, Dict[str, object]]:
+    """Direct-vs-analytical rows from the results of
+    :func:`direct_scaleout_jobs` (same kernels, machine and seed)."""
+    machine_spec = resolve_machine(machine)
+    per_cluster = machine_spec.num_clusters
+    table: Dict[str, Dict[str, object]] = {}
+    for position, kernel in enumerate(kernels):
+        kernel = (kernel if isinstance(kernel, StencilKernel)
+                  else get_kernel(kernel))
+        cursor = 2 * per_cluster * position
+        table[kernel.name] = _pair_entry(
+            kernel, machine_spec, results[cursor:cursor + per_cluster],
+            results[cursor + per_cluster:cursor + 2 * per_cluster],
+            tiles_per_cluster, seed, grid_shape)
+    return table
+
+
 def direct_scaleout_table(kernels: Sequence[Union[str, StencilKernel]],
                           machine: MachineLike = "manticore-2",
                           tiles_per_cluster: int = DEFAULT_TILES_PER_CLUSTER,
@@ -542,25 +578,7 @@ def direct_scaleout_table(kernels: Sequence[Union[str, StencilKernel]],
     together, exactly like the artifact pipeline does for the single-cluster
     tables.
     """
-    machine_spec = resolve_machine(machine)
-    resolved = [k if isinstance(k, StencilKernel) else get_kernel(k)
-                for k in kernels]
-    variants = paper_variants()
-    jobs: List[SweepJob] = []
-    for kernel in resolved:
-        for variant in variants:
-            jobs.extend(scaleout_jobs(kernel, variant, machine_spec,
-                                      seed=seed))
+    jobs = direct_scaleout_jobs(kernels, machine, seed=seed)
     report = run_sweep(jobs, workers=workers, store=store, progress=progress)
-    per_cluster = machine_spec.num_clusters
-    table: Dict[str, Dict[str, object]] = {}
-    cursor = 0
-    for kernel in resolved:
-        base_results = report.results[cursor:cursor + per_cluster]
-        saris_results = report.results[cursor + per_cluster:
-                                       cursor + 2 * per_cluster]
-        cursor += 2 * per_cluster
-        table[kernel.name] = _pair_entry(kernel, machine_spec, base_results,
-                                         saris_results, tiles_per_cluster,
-                                         seed, grid_shape)
-    return table
+    return assemble_direct_scaleout_table(kernels, machine, report.results,
+                                          tiles_per_cluster, seed, grid_shape)

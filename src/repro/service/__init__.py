@@ -16,8 +16,8 @@ thin transport:
   ``repro submit`` / ``repro watch``;
 * :mod:`repro.service.fabric` — the lease-based coordinator core of the
   distributed sweep fabric (``repro serve --fabric``): grants with TTLs,
-  heartbeat renewal, a reaper that requeues expired leases with the
-  supervisor's suspect/solo semantics;
+  heartbeat renewal, a reaper that requeues expired leases as suspects
+  that run solo;
 * :mod:`repro.service.worker` — the pull-side ``repro worker`` loop:
   lease, execute supervised, publish, heartbeat.
 

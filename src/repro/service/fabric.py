@@ -9,8 +9,10 @@ falls off the network simply stops renewing; the reaper notices the expired
 lease and puts the job back in play.  No worker is ever trusted to report
 its own death.
 
-Requeue semantics mirror the PR-6 :class:`~repro.sweep.supervisor.
-SupervisedPool` crash model, lifted from processes to nodes:
+A worker may hold several leases at once, so an expired lease cannot say
+which of its jobs (if any) killed the node.  The fabric therefore keeps its
+own suspect model (a local :class:`~repro.sweep.supervisor.SupervisedPool`
+worker runs one job at a time and needs none):
 
 * A lease expiring on a **fresh** job is *not* charged as an attempt — the
   worker may have died for an unrelated reason (its other lease's job

@@ -1,15 +1,17 @@
-"""Parallel sweep engine: declarative jobs, process-pool fan-out, result store.
+"""Parallel sweep engine: declarative jobs, supervised workers, result store.
 
 The reproduction's full workload — every simulation behind the paper's
 tables, figures and ablations — is a list of independent, deterministic
 jobs.  This package turns that observation into infrastructure:
 
 * :class:`~repro.sweep.job.SweepJob` — a declarative, content-hashed job spec;
-* :mod:`repro.sweep.engine` — process-pool fan-out with a bit-identical
-  serial fallback and per-job progress streaming;
-* :mod:`repro.sweep.supervisor` — fault-tolerant pool supervision: per-job
-  timeouts, bounded retry with backoff, ``BrokenProcessPool`` recovery,
-  poisoned-batch bisection, and graceful degradation to the Python engine;
+* :mod:`repro.sweep.engine` — ``run_sweep``: always supervised, serially
+  in-process or on worker processes (bit-identical either way), with
+  per-job progress streaming;
+* :mod:`repro.sweep.supervisor` — the supervised worker pool: bounded retry
+  with backoff, per-job timeouts, a crash or hang charged to its own job
+  (only that job's worker is replaced), and graceful degradation to the
+  Python engine;
 * :mod:`repro.sweep.faults` — deterministic fault injection
   (``REPRO_FAULT_INJECT``) so every recovery path above is testable;
 * :class:`~repro.sweep.store.ResultStore` — a persistent JSON-per-job cache

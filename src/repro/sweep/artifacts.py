@@ -31,9 +31,12 @@ from repro.registry import Registry
 from repro.runner import KernelRunResult, VariantComparison
 from repro.scaleout import (
     best_gpu_fraction,
-    direct_scaleout_table,
     estimate_scaleout_pair,
     peak_fraction_table,
+)
+from repro.scaleout.sim import (
+    assemble_direct_scaleout_table,
+    direct_scaleout_jobs,
 )
 from repro.snitch.cluster import SnitchCluster
 from repro.sweep.engine import ProgressFn, SweepReport, run_sweep
@@ -367,16 +370,15 @@ def build_scaleout_direct(ctx: "ArtifactContext") -> Dict[str, object]:
     """Figure-5-style table from **direct** multi-cluster simulation.
 
     Every Table-1 kernel is simulated on the topology (per-cluster engine
-    runs through the sweep engine, shared-HBM contention model), side by
-    side with the analytical projection for the *same* machine, reporting
-    the per-kernel delta.  See :mod:`repro.scaleout.sim` for the model and
+    runs from ``ctx.scaleout``, shared-HBM contention model), side by side
+    with the analytical projection for the *same* machine, reporting the
+    per-kernel delta.  See :mod:`repro.scaleout.sim` for the model and
     :data:`repro.scaleout.sim.ANALYTICAL_TOLERANCE` for the documented
     agreement bounds.
     """
     machine = _direct_machine(ctx.machine)
-    table = direct_scaleout_table(TABLE1_KERNELS, machine=machine,
-                                  workers=ctx.workers, store=ctx.store,
-                                  progress=ctx.progress)
+    table = assemble_direct_scaleout_table(TABLE1_KERNELS, machine,
+                                           ctx.scaleout)
     aggregates = {
         "saris_util": geomean(e["saris"].fpu_util for e in table.values()),
         "speedup": geomean(e["speedup"] for e in table.values()),
@@ -560,9 +562,9 @@ def build_ablations(ablations: Dict[str, KernelRunResult],
 class ArtifactContext:
     """Sweep results an artifact builder may draw on.
 
-    ``workers`` / ``store`` / ``progress`` carry the pipeline's execution
-    settings so builders that run their *own* sweeps (the direct scaleout
-    simulation) fan out and cache exactly like the shared paper sweep.
+    ``runs``, ``ablations`` and ``scaleout`` (the direct scaleout's
+    per-cluster tile results, in :func:`~repro.scaleout.sim.
+    direct_scaleout_jobs` order) come from the pipeline's one shared sweep.
 
     With ``on_error="collect"`` a failed sweep job no longer aborts the
     pipeline: ``failures`` carries the structured records and builders whose
@@ -573,9 +575,7 @@ class ArtifactContext:
     machine: Optional[MachineSpec] = None
     runs: Optional[Dict[str, VariantComparison]] = None
     ablations: Optional[Dict[str, KernelRunResult]] = None
-    workers: Optional[int] = None
-    store: Optional[ResultStore] = None
-    progress: Optional[ProgressFn] = None
+    scaleout: Optional[List[KernelRunResult]] = None
     on_error: str = "raise"
     failures: Optional[List[JobFailure]] = None
 
@@ -588,6 +588,7 @@ class ArtifactSpec:
     build: Callable[[ArtifactContext], List[Dict[str, object]]]
     needs_paper: bool = False
     needs_ablation: bool = False
+    needs_scaleout: bool = False
     description: str = ""
 
 
@@ -595,18 +596,21 @@ ARTIFACT_REGISTRY: Registry[ArtifactSpec] = Registry("artifact")
 
 
 def register_artifact(name: str, *, needs_paper: bool = False,
-                      needs_ablation: bool = False, description: str = "",
+                      needs_ablation: bool = False,
+                      needs_scaleout: bool = False, description: str = "",
                       replace: bool = False):
     """Decorator registering an artifact builder under ``name``.
 
-    The builder receives an :class:`ArtifactContext` (with the paper and/or
-    ablation sweep results it declared a need for) and returns a list of
-    table dictionaries (``title`` / ``columns`` / ``rows`` / ``data``).
-    Registered artifacts become ``repro reproduce --subset`` choices.
+    The builder receives an :class:`ArtifactContext` (with the paper,
+    ablation and/or direct-scaleout sweep results it declared a need for)
+    and returns a list of table dictionaries (``title`` / ``columns`` /
+    ``rows`` / ``data``).  Registered artifacts become ``repro reproduce
+    --subset`` choices.
     """
     def wrap(entry_name: str, fn) -> ArtifactSpec:
         return ArtifactSpec(name=entry_name, build=fn, needs_paper=needs_paper,
                             needs_ablation=needs_ablation,
+                            needs_scaleout=needs_scaleout,
                             description=description)
     return ARTIFACT_REGISTRY.decorator(name, replace=replace, wrap=wrap)
 
@@ -641,7 +645,7 @@ register_artifact("fig4", needs_paper=True,
 register_artifact("fig5", needs_paper=True,
                   description="Manticore-256s scaleout estimates"
                   )(lambda ctx: [build_fig5(ctx.runs, ctx.machine)])
-register_artifact("scaleout_direct",
+register_artifact("scaleout_direct", needs_scaleout=True,
                   description="direct multi-cluster simulation vs "
                               "analytical estimate"
                   )(lambda ctx: [build_scaleout_direct(ctx)])
@@ -672,14 +676,13 @@ def reproduce(subset: str = "all", workers: Optional[int] = None,
     columns then compare against the eight-core paper numbers).
 
     ``on_error="collect"`` keeps the pipeline alive across job failures:
-    the sweep runs supervised (see :mod:`repro.sweep.supervisor`), failures
-    are returned under ``"failures"`` in the report, and artifacts whose
-    required results went missing are replaced by an explanatory
+    failures are returned under ``"failures"`` in the report, and artifacts
+    whose required results went missing are replaced by an explanatory
     placeholder table.  ``timeout`` (per-job seconds) and ``retries``
-    (maximum attempts per job) tune the supervision policy.  Since every
-    finished job lands in the store immediately, re-running after a crash
-    or interrupt only executes the missing jobs (``repro reproduce
-    --resume``).
+    (maximum attempts per job) tune the supervision policy (see
+    :mod:`repro.sweep.supervisor`).  Since every finished job lands in the
+    store immediately, re-running after a crash or interrupt only executes
+    the missing jobs (``repro reproduce --resume``).
     """
     choices = subset_choices()
     if subset not in choices:
@@ -689,56 +692,54 @@ def reproduce(subset: str = "all", workers: Optional[int] = None,
     selected = list(artifact_names()) if subset == "all" else [subset]
     specs = [ARTIFACT_REGISTRY.get(name) for name in selected]
     store = ResultStore(cache_dir) if use_cache else None
-    needs_paper = any(spec.needs_paper for spec in specs)
-    needs_ablation = any(spec.needs_ablation for spec in specs)
 
     retry = None
     if retries is not None:
         retry = replace(RetryPolicy.resolve(None, timeout),
                         max_attempts=int(retries))
 
-    jobs: List[SweepJob] = list(paper_jobs(machine_spec)) if needs_paper else []
-    ablation_keys: List[str] = []
-    if needs_ablation:
-        for key, job in ablation_jobs(machine_spec).items():
-            ablation_keys.append(key)
-            jobs.append(job)
+    paper = (paper_jobs(machine_spec)
+             if any(spec.needs_paper for spec in specs) else [])
+    ablations = (ablation_jobs(machine_spec)
+                 if any(spec.needs_ablation for spec in specs) else {})
+    scaleout = (direct_scaleout_jobs(TABLE1_KERNELS,
+                                     _direct_machine(machine_spec))
+                if any(spec.needs_scaleout for spec in specs) else [])
+    jobs = [*paper, *ablations.values(), *scaleout]
 
     report: Optional[SweepReport] = None
-    context = ArtifactContext(machine=machine_spec, workers=workers,
-                              store=store, progress=progress,
-                              on_error=on_error)
-    missing_paper: List[str] = []
-    missing_ablation: List[str] = []
+    context = ArtifactContext(machine=machine_spec, on_error=on_error)
+    missing: Dict[str, List[str]] = {}
     if jobs:
         report = run_sweep(jobs, workers=workers, store=store,
                            progress=progress, on_error=on_error,
                            retry=retry, timeout=timeout)
         context.failures = report.failures
-        if needs_paper:
-            paper_count = len(TABLE1_KERNELS) * len(paper_variants())
-            paper_results = report.results[:paper_count]
-            missing_paper = [jobs[i].label
-                             for i, result in enumerate(paper_results)
-                             if result is None]
-            if not missing_paper:
-                context.runs = pair_up(paper_results)
-        if needs_ablation:
-            tail = report.results[len(jobs) - len(ablation_keys):]
-            missing_ablation = [key for key, result in zip(ablation_keys, tail)
-                                if result is None]
-            if not missing_ablation:
-                context.ablations = dict(zip(ablation_keys, tail))
+        results = report.results
+        paper_results = results[:len(paper)]
+        ablation_results = results[len(paper):len(paper) + len(ablations)]
+        scaleout_results = results[len(paper) + len(ablations):]
+        for kind, group, group_results in (
+                ("paper", paper, paper_results),
+                ("ablation", list(ablations.values()), ablation_results),
+                ("scaleout", scaleout, scaleout_results)):
+            missing[kind] = [job.label for job, result
+                             in zip(group, group_results) if result is None]
+        if paper and not missing["paper"]:
+            context.runs = pair_up(paper_results)
+        if ablations and not missing["ablation"]:
+            context.ablations = dict(zip(ablations, ablation_results))
+        if scaleout and not missing["scaleout"]:
+            context.scaleout = scaleout_results
 
     artifacts: List[Dict[str, object]] = []
     for spec in specs:
-        skip_reason = None
-        if spec.needs_paper and missing_paper:
-            skip_reason = ("missing paper sweep results: "
-                           + ", ".join(missing_paper))
-        elif spec.needs_ablation and missing_ablation:
-            skip_reason = ("missing ablation results: "
-                           + ", ".join(missing_ablation))
+        skip_reason = next(
+            (f"missing {kind} sweep results: " + ", ".join(missing[kind])
+             for kind, needed in (("paper", spec.needs_paper),
+                                  ("ablation", spec.needs_ablation),
+                                  ("scaleout", spec.needs_scaleout))
+             if needed and missing.get(kind)), None)
         if skip_reason:
             artifacts.append({
                 "title": f"{spec.name} [skipped]",
@@ -787,8 +788,7 @@ def render_report(report: Dict[str, object]) -> str:
             f"{sweep['wall_seconds']:.2f} s wall"
             + (f" (store: {sweep['store']})" if sweep.get("store") else ""))
         extras = []
-        for key in ("retries", "pool_restarts", "bisections", "timeouts",
-                    "quarantined"):
+        for key in ("retries", "pool_restarts", "timeouts", "quarantined"):
             if sweep.get(key):
                 extras.append(f"{key}: {sweep[key]}")
         if sweep.get("degraded"):

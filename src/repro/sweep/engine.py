@@ -1,35 +1,38 @@
-"""Process-pool sweep executor with a bit-identical serial fallback.
+"""Supervised sweep executor: one serial path, one parallel path.
 
 The full reproduction workload — every (kernel, variant, configuration) job
 behind the paper's tables and figures — is embarrassingly parallel: jobs
 share no mutable state and the simulator is deterministic.  ``run_sweep``
-therefore fans a job list across worker processes with
-:class:`concurrent.futures.ProcessPoolExecutor`, consults the persistent
-:class:`~repro.sweep.store.ResultStore` first, dedupes identical jobs within
-one sweep, and streams per-job progress to an optional callback.
+consults the persistent :class:`~repro.sweep.store.ResultStore` first,
+dedupes identical jobs within one sweep, runs the rest either serially
+in-process or on the worker processes of a
+:class:`~repro.sweep.supervisor.SupervisedPool`, and streams per-job
+progress to an optional callback.
 
-Workers execute the exact same function as the serial path
-(:func:`execute_job`), so serial and parallel sweeps produce bit-identical
-metrics; each worker process warms its own codegen / DMA-utilization caches
-as it goes (on fork start methods it additionally inherits the parent's warm
-caches for free).
+Both paths run every job through the same single-job core
+(:func:`~repro.sweep.supervisor.execute_supervised` around
+:func:`execute_job`), so serial and parallel sweeps produce bit-identical
+metrics; each forked worker inherits the parent's warm codegen /
+DMA-utilization caches and keeps warming its own.
 
 Fault tolerance
 ---------------
 
-``run_sweep(on_error="collect")`` (or any explicit ``retry``/``timeout``
-knob, or the ``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` /
-``REPRO_SWEEP_BACKOFF`` environment variables) routes pool execution
-through the :mod:`~repro.sweep.supervisor`: per-job wall-clock timeouts,
-bounded retry with exponential backoff, ``BrokenProcessPool`` respawn with
-requeue, poisoned-batch bisection and graceful degradation to the Python
-engine.  Failures that survive supervision become structured
-:class:`~repro.sweep.supervisor.JobFailure` records on the report (the
-failed slots in ``results`` are ``None``); ``on_error="raise"`` keeps the
-historical fail-fast contract.  Because every finished job is persisted to
-the store as it completes, a crashed or interrupted sweep resumes by simply
-re-running — only the missing job hashes execute (``repro reproduce
---resume``).
+Every sweep is supervised.  In-band exceptions are retried with exponential
+backoff and a structured native-engine fault degrades to the Python engine,
+on either path.  The pool additionally charges a worker crash or an overrun
+per-job timeout to the one job that caused it: only that job's worker is
+replaced, and the job gets bounded retries and then one degraded
+forced-Python attempt.  ``on_error`` only picks what happens to a job that
+fails for good: ``"raise"`` (default) raises it, ``"collect"`` returns
+partial results plus structured
+:class:`~repro.sweep.supervisor.JobFailure` records (the failed slots in
+``results`` are ``None``).  ``retry``, ``timeout`` and the
+``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` / ``REPRO_SWEEP_BACKOFF``
+environment variables only set the policy.  Because every finished job is
+persisted to the store as it completes, a crashed or interrupted sweep
+resumes by simply re-running — only the missing job hashes execute
+(``repro reproduce --resume``).
 
 Deterministic fault injection for all of the above lives in
 :mod:`repro.sweep.faults`; :func:`execute_job` consults it on every run.
@@ -37,39 +40,33 @@ Deterministic fault injection for all of the above lives in
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.runner import KernelRunResult
 from repro.sweep import faults
-from repro.sweep import supervisor as _supervisor
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore
 from repro.sweep.supervisor import (
     JobFailure,
     RetryPolicy,
     SupervisedPool,
+    SupervisionOutcome,
     SweepJobError,
+    execute_supervised,
 )
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV_VAR = "REPRO_SWEEP_WORKERS"
 
-#: Jobs are shipped to pool workers in batches of up to this many, so the
-#: per-task pickling/dispatch overhead is amortized while keeping several
-#: waves per worker for load balancing.
-MAX_JOBS_PER_BATCH = 8
-
 #: Progress callback signature: (done, total, job, source) where source is
 #: one of "cache", "serial", "parallel", "failed".
 ProgressFn = Callable[[int, int, SweepJob, str], None]
 
-#: Valid ``on_error`` modes: fail fast (historical behavior) vs collect
+#: Valid ``on_error`` modes: raise the first failed job vs collect
 #: structured failures alongside partial results.
 ON_ERROR_MODES = ("raise", "collect")
 
@@ -104,49 +101,24 @@ def resolve_workers(workers: Optional[int] = None,
 def execute_job(job: SweepJob, attempt: int = 1) -> KernelRunResult:
     """Run one job and return its serializable metrics core.
 
-    Module-level so it is picklable for pool workers; the serial fallback
-    calls the same function, which is what makes the two paths bit-identical.
-    The in-memory cluster detail is dropped before the result crosses the
-    process boundary (it is re-derivable and only the metrics are consumed
-    downstream).
+    Serial sweeps and pool workers both call this function, which is what
+    makes the two paths bit-identical.  The in-memory cluster detail is
+    dropped before the result crosses the process boundary (it is
+    re-derivable and only the metrics are consumed downstream).
 
-    ``attempt`` (1-based) is supplied by the supervised retry loop and only
-    consumed by the deterministic fault-injection hook, which this function
-    consults on every run (a no-op unless faults are configured).
+    ``attempt`` (1-based) is supplied by the supervised retry ladder and
+    only consumed by the deterministic fault-injection hook, which this
+    function consults on every run (a no-op unless faults are configured).
     """
     faults.maybe_inject(job, attempt=attempt)
     return job.run().without_cluster()
-
-
-def execute_batch(jobs: Sequence[SweepJob]) -> List[KernelRunResult]:
-    """Run a batch of jobs in-process (one pool task, several jobs)."""
-    return [execute_job(job) for job in jobs]
-
-
-def _batch_indices(unique: Sequence[int], workers: int) -> List[List[int]]:
-    """Split pending job indices into per-task batches.
-
-    Batches are sized to give each worker several waves (load balancing)
-    while amortizing process dispatch overhead, capped at
-    :data:`MAX_JOBS_PER_BATCH`.
-    """
-    waves = max(1, workers * 4)
-    size = max(1, min(MAX_JOBS_PER_BATCH, -(-len(unique) // waves)))
-    return [list(unique[i:i + size]) for i in range(0, len(unique), size)]
-
-
-def _pool_context():
-    """Prefer fork workers (cheap, inherit warm caches) where available."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
 
 
 @dataclass
 class SweepReport:
     """Results of one sweep plus execution statistics.
 
-    ``parallel`` records whether the process pool was used; the honest
+    ``parallel`` records whether the worker pool was used; the honest
     ``parallel_effective`` additionally requires more than one CPU to have
     been available — a pool on a single-CPU container interleaves rather
     than overlaps, and reports should not imply otherwise.
@@ -154,10 +126,10 @@ class SweepReport:
     With ``on_error="collect"``, ``results`` slots of failed jobs are
     ``None`` and the corresponding :class:`JobFailure` records (exception
     type, message, traceback, attempts, engine, elapsed) are in
-    ``failures``; ``retried`` / ``degraded`` / ``pool_restarts`` /
-    ``bisections`` / ``timeouts`` document what supervision had to do, and
-    ``quarantined`` counts corrupt store entries set aside during the
-    warm-cache pass.
+    ``failures``; ``retried`` / ``degraded`` / ``retries`` /
+    ``pool_restarts`` (workers replaced) / ``timeouts`` document what
+    supervision had to do, and ``quarantined`` counts corrupt store entries
+    set aside during the warm-cache pass.
     """
 
     results: List[Optional[KernelRunResult]]
@@ -168,7 +140,6 @@ class SweepReport:
     wall_seconds: float
     parallel: bool
     cpu_count: int = 1
-    batch_size: int = 1
     store_root: Optional[str] = None
     job_labels: List[str] = field(default_factory=list, repr=False)
     on_error: str = "raise"
@@ -177,10 +148,9 @@ class SweepReport:
     degraded: List[str] = field(default_factory=list)
     retries: int = 0
     pool_restarts: int = 0
-    bisections: int = 0
     timeouts: int = 0
     #: Structured in-engine guard faults (NativeEngineError) that were
-    #: routed in-band — degraded retry, no pool respawn, no bisection.
+    #: routed in-band — degraded retry, no worker replacement.
     native_faults: int = 0
     quarantined: int = 0
 
@@ -220,7 +190,6 @@ class SweepReport:
             "parallel": self.parallel,
             "parallel_effective": self.parallel_effective,
             "cpu_count": self.cpu_count,
-            "batch_size": self.batch_size,
             "wall_seconds": round(self.wall_seconds, 4),
             "store": self.store_root,
             "on_error": self.on_error,
@@ -229,7 +198,6 @@ class SweepReport:
             "degraded": list(self.degraded),
             "retries": self.retries,
             "pool_restarts": self.pool_restarts,
-            "bisections": self.bisections,
             "timeouts": self.timeouts,
             "native_faults": self.native_faults,
             "quarantined": self.quarantined,
@@ -249,15 +217,15 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
     ``workers`` resolved to 1 (or a single pending job) the sweep runs
     serially in-process — the parallel path produces bit-identical metrics.
 
-    ``on_error="raise"`` (default) propagates the first job failure, as the
-    engine always has.  ``on_error="collect"`` — or an explicit ``retry``
-    policy, a per-job ``timeout`` in seconds, or any ``REPRO_SWEEP_TIMEOUT``
-    / ``REPRO_SWEEP_RETRIES`` / ``REPRO_SWEEP_BACKOFF`` environment setting
-    — enables supervised execution (see :mod:`repro.sweep.supervisor`);
-    collect mode then returns partial results plus structured failures.
-    Serial supervised execution retries in-band exceptions but cannot
-    enforce timeouts or survive injected worker death; the opaque failure
-    modes need the pool.
+    Execution is always supervised (see :mod:`repro.sweep.supervisor`)
+    under the policy resolved from ``retry``, a per-job ``timeout`` in
+    seconds and the ``REPRO_SWEEP_*`` environment variables.  A job that
+    still fails is raised by ``on_error="raise"`` (default) — the original
+    exception on the serial path, a :class:`SweepJobError` after the pool
+    has finished every other job — or, with ``on_error="collect"``,
+    recorded as a structured failure beside the partial results.  Serial
+    sweeps cannot enforce timeouts or survive a crashing job; an injected
+    segfault degrades to an in-band exception there.
     """
     if on_error not in ON_ERROR_MODES:
         raise ValueError(f"on_error must be one of {ON_ERROR_MODES}, got "
@@ -312,10 +280,7 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
 
     workers = resolve_workers(workers, len(unique))
     parallel = workers > 1 and len(unique) > 1
-
-    supervised = (on_error == "collect" or retry is not None
-                  or timeout is not None or _supervisor.env_configured())
-    policy = RetryPolicy.resolve(retry, timeout) if supervised else None
+    policy = RetryPolicy.resolve(retry, timeout)
 
     def finish(index: int, result: KernelRunResult, source: str) -> None:
         results[index] = result
@@ -323,73 +288,24 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
             store.save(jobs[index], result)
         report_progress(index, source)
 
-    failures: List[JobFailure] = []
-    retried: Dict[str, int] = {}
-    degraded: List[str] = []
-    retries = pool_restarts = bisections = timeouts = native_faults = 0
-
-    batch_size = 1
-    if not parallel:
-        if supervised:
-            (failures, retried, retries,
-             degraded, native_faults) = _run_serial_supervised(
-                jobs, unique, policy, on_error, finish)
-        else:
-            for index in unique:
-                finish(index, execute_job(jobs[index]), "serial")
-    elif supervised:
-        batches = _batch_indices(unique, workers)
-        batch_size = max(len(batch) for batch in batches)
-        pool = SupervisedPool(jobs, workers=workers, policy=policy,
-                              mp_context=_pool_context())
-        outcome = pool.run(batches,
-                           on_result=lambda i, r: finish(i, r, "parallel"))
-        failures = outcome.failures
-        retried = outcome.retried
-        degraded = outcome.degraded
-        retries = outcome.retries
-        pool_restarts = outcome.pool_restarts
-        bisections = outcome.bisections
-        timeouts = outcome.timeouts
-        native_faults = outcome.native_faults
-        if failures and on_error == "raise":
-            raise SweepJobError(failures[0])
-        for failure in failures:
-            report_progress(failure.index, "failed")
+    if parallel:
+        outcome = SupervisedPool(jobs, workers, policy).run(
+            unique, on_result=lambda i, r: finish(i, r, "parallel"))
+        if outcome.failures and on_error == "raise":
+            raise SweepJobError(outcome.failures[0])
     else:
-        # Batch several jobs per pool task: same execute_job per job (still
-        # bit-identical to serial), far fewer pickling round-trips.
-        batches = _batch_indices(unique, workers)
-        batch_size = max(len(batch) for batch in batches)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=_pool_context()) as pool:
-            futures = {
-                pool.submit(execute_batch, [jobs[i] for i in batch]): batch
-                for batch in batches
-            }
-            try:
-                for future in as_completed(futures):
-                    for index, result in zip(futures[future], future.result()):
-                        finish(index, result, "parallel")
-            except KeyboardInterrupt:
-                # Flush whatever already finished so a resumed sweep only
-                # re-executes the rest, then drain the pool without waiting
-                # on in-flight batches (teardown runs even if the flush is
-                # interrupted again).
-                try:
-                    for future, batch in futures.items():
-                        if future.done() and not future.cancelled():
-                            exc = future.exception()
-                            if exc is None:
-                                for index, result in zip(batch,
-                                                         future.result()):
-                                    if results[index] is None:
-                                        finish(index, result, "parallel")
-                finally:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                raise
+        outcome = SupervisionOutcome()
+        for index in unique:
+            job_outcome = execute_supervised(jobs[index], policy)
+            if job_outcome.failure is not None and on_error == "raise":
+                raise job_outcome.exception
+            result = outcome.record(index, jobs[index].label, job_outcome)
+            if result is not None:
+                finish(index, result, "serial")
 
-    failed_indices = {failure.index for failure in failures}
+    failed_indices = {failure.index for failure in outcome.failures}
+    for failure in outcome.failures:
+        report_progress(failure.index, "failed")
     for index, source_index in duplicates.items():
         results[index] = results[source_index]
         report_progress(index, "failed" if source_index in failed_indices
@@ -404,60 +320,19 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
         wall_seconds=time.perf_counter() - start,
         parallel=parallel,
         cpu_count=os.cpu_count() or 1,
-        batch_size=batch_size,
         store_root=str(store.root) if store is not None else None,
         job_labels=[job.label for job in jobs],
         on_error=on_error,
-        failures=failures,
-        retried=retried,
-        degraded=degraded,
-        retries=retries,
-        pool_restarts=pool_restarts,
-        bisections=bisections,
-        timeouts=timeouts,
-        native_faults=native_faults,
+        failures=outcome.failures,
+        retried=outcome.retried,
+        degraded=outcome.degraded,
+        retries=outcome.retries,
+        pool_restarts=outcome.pool_restarts,
+        timeouts=outcome.timeouts,
+        native_faults=outcome.native_faults,
         quarantined=(store.quarantined - quarantined_before
                      if store is not None else 0),
     )
-
-
-def _run_serial_supervised(jobs: Sequence[SweepJob], unique: Sequence[int],
-                           policy: RetryPolicy, on_error: str,
-                           finish: Callable[[int, KernelRunResult, str], None]
-                           ):
-    """In-process execution with retry/backoff and failure collection.
-
-    One :func:`~repro.sweep.supervisor.execute_supervised` call per job —
-    the same single-job core that backs the service job queue.  Timeouts
-    and crash recovery need worker processes and do not apply here; an
-    injected segfault degrades to an in-band exception in-process (see
-    :mod:`repro.sweep.faults`), so serial supervised sweeps never die
-    silently either.  A structured :class:`NativeEngineError` from the
-    engine's guards degrades straight to one forced-Python attempt — same
-    in-band routing as the pool path.
-    """
-    failures: List[JobFailure] = []
-    retried: Dict[str, int] = {}
-    degraded: List[str] = []
-    retries = 0
-    native_faults = 0
-    for index in unique:
-        job = jobs[index]
-        outcome = _supervisor.execute_supervised(job, policy)
-        retries += outcome.retries
-        native_faults += outcome.native_faults
-        if outcome.failure is not None:
-            if on_error == "raise":
-                raise outcome.exception
-            outcome.failure.index = index
-            failures.append(outcome.failure)
-            continue
-        if outcome.attempts > 1:
-            retried[job.label] = outcome.attempts
-        if outcome.degraded:
-            degraded.append(job.label)
-        finish(index, outcome.result, "serial")
-    return failures, retried, retries, degraded, native_faults
 
 
 def run_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,

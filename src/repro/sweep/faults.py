@@ -1,10 +1,10 @@
 """Deterministic fault injection for the sweep engine.
 
 Every recovery path of the supervised executor — retry/backoff, per-job
-timeouts, ``BrokenProcessPool`` respawn, poisoned-batch bisection and
-graceful degradation to the Python engine — needs failures on demand to be
-testable.  Real segfaults and hangs are non-deterministic and hostile to CI,
-so this module provides a configurable hook that :func:`repro.sweep.engine.
+timeouts, replacing a crashed worker and graceful degradation to the Python
+engine — needs failures on demand to be testable.  Real segfaults and hangs
+are non-deterministic and hostile to CI, so this module provides a
+configurable hook that :func:`repro.sweep.engine.
 execute_job` consults before running a job: when the job matches an active
 :class:`FaultSpec`, the injector misbehaves *on purpose* in one of four
 modes:
@@ -17,19 +17,19 @@ modes:
 ``hang``
     Sleep for ``hang_seconds`` (default far beyond any sane per-job
     timeout), then raise — exercises the supervisor's wall-clock timeout
-    and pool-kill path without ever blocking forever.
+    and worker-kill path without ever blocking forever.
 ``segfault``
     Die instantly via ``os._exit`` *when running in a pool worker*,
-    exactly as a native-engine crash would — the parent observes a
-    ``BrokenProcessPool``.  In the parent process itself (serial sweeps)
-    the mode degrades to ``raise`` so a misconfigured test cannot kill the
-    test session.
+    exactly as a native-engine crash would — the parent sees EOF on the
+    worker's pipe.  In the parent process itself (serial sweeps) the mode
+    degrades to ``raise`` so a misconfigured test cannot kill the test
+    session.
 ``native``
     Raise a structured :class:`repro.snitch.native.NativeEngineError`
     (code ``bounds``), exactly what an in-engine guard returns through the
     ctypes call — exercises the supervisor's in-band ``native_fault``
-    degradation path (no pool respawn, no bisection).  Usually combined
-    with ``engine=native`` so the degraded Python retry runs clean.
+    degradation path (no worker replacement).  Usually combined with
+    ``engine=native`` so the degraded Python retry runs clean.
 
 Configuration is either programmatic (:func:`install` / :func:`injected`,
 inherited by ``fork``-started pool workers) or via the environment variable
@@ -297,8 +297,8 @@ class FaultInjector:
                     return  # at-most-n kills already spent: run normally
                 if _in_worker_process():
                     # Die like kill -9: no cleanup, no exception.  A pool
-                    # parent sees BrokenProcessPool; a fabric coordinator
-                    # sees the lease expire.
+                    # parent sees EOF on the worker's pipe; a fabric
+                    # coordinator sees the lease expire.
                     os._exit(WORKER_KILL_EXIT_CODE)
                 raise InjectedFault(
                     f"injected worker kill for {label} (in-process: "
@@ -322,7 +322,7 @@ class FaultInjector:
             if spec.mode == "segfault":
                 if _in_pool_worker():
                     # Die like a native crash: no cleanup, no exception —
-                    # the parent's pool observes BrokenProcessPool.
+                    # the parent sees EOF on the worker's pipe.
                     os._exit(SEGFAULT_EXIT_CODE)
                 raise InjectedFault(
                     f"injected segfault for {label} (in-process: degraded "

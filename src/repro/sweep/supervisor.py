@@ -1,52 +1,45 @@
-"""Supervised process-pool execution for the sweep engine.
+"""Supervised worker processes for the sweep engine.
 
-The plain ``ProcessPoolExecutor`` fan-out treats any worker mishap as sweep
-death: one exception aborts everything, a hung job stalls forever, and a
-single native-engine crash surfaces as ``BrokenProcessPool`` with every
-in-flight batch silently discarded.  This module wraps the pool in a
-supervision loop with explicit recovery policies:
+:class:`SupervisedPool` runs a sweep on worker processes that each own one
+duplex pipe and hold at most two jobs: the head of a worker's list is the job
+it runs, and the job behind it waits in the pipe so the worker never idles
+while the parent stores the previous result.  A worker only ever runs its
+head job, so every failure a worker cannot report itself is charged exactly:
 
-* **Per-job wall-clock timeouts** — a batch that exceeds its deadline is
-  declared hung; since a running pool task cannot be cancelled, the pool is
-  killed (workers terminated) and respawned, and every other in-flight batch
-  is requeued untouched.
-* **Bounded retry with exponential backoff** — transient in-band failures
-  (exceptions raised by ``execute_job``) are retried up to
-  ``RetryPolicy.max_attempts`` times, with ``backoff_seconds *
-  backoff_factor**(attempt-1)`` pauses between attempts.
-* **``BrokenProcessPool`` recovery** — when a worker dies (segfault, OOM
-  kill), the pool is respawned and the batches that were in flight are
-  requeued instead of being lost.
-* **Poisoned-batch bisection** — a batch that fails *opaquely* (pool
-  breakage or timeout: the worker could not report which job was at fault)
-  is split in half and re-run, recursively isolating the culprit job while
-  every innocent sibling completes normally.
-* **Graceful degradation** — a single job whose run crashed the worker or
-  timed out is retried once more under the forced Python reference engine
-  (:func:`repro.snitch.native.forced_python`), on the theory that the
-  native C engine is the component most likely to crash or wedge; the
-  degradation is recorded on the sweep report.
+* **Crash** — EOF on the pipe (a native segfault, the OOM killer) is charged
+  to the head job alone.  Only that worker is joined and replaced; the job
+  waiting behind it never started and is requeued uncharged.
+* **Timeout** — ``RetryPolicy.timeout_seconds`` bounds one job's in-worker
+  attempts together, counted from when its worker could first start it.  An
+  overdue worker is killed, joined and replaced the same way.
 
-Failures that survive all of the above become structured
-:class:`JobFailure` records carried alongside the partial results, so a
-sweep of N jobs with one poisoned job returns N-1 results plus one
-well-labelled failure instead of nothing.
+Inside a worker every job runs through :func:`execute_supervised`, the
+single-job ladder the service queue and the fabric worker use too: bounded
+retry with exponential backoff for in-band exceptions, and immediate
+degradation to the forced Python engine on a structured native-engine fault.
+The parent keeps only the ladder for crashes and timeouts: retry up to
+``max_attempts``, then one attempt under the forced Python engine
+(:func:`repro.snitch.native.forced_python`, on the theory that the native C
+engine is the component most likely to crash or wedge), then a
+:class:`JobFailure`.
 
-Workers report per-job outcomes (:func:`execute_batch_supervised`), so an
-in-band exception in one job of a batch never discards its siblings —
-bisection is only needed for the opaque failure modes.
+Failures that survive all of the above become structured :class:`JobFailure`
+records carried alongside the partial results, so a sweep of N jobs with one
+poisoned job returns N-1 results plus one well-labelled failure instead of
+nothing.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import time
 import traceback as traceback_module
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.runner import KernelRunResult
@@ -66,7 +59,7 @@ _OBS_NATIVE_FAULTS = obs.counter(
     "repro_supervisor_native_faults_total",
     "Structured native-engine faults seen by the supervisor")
 _OBS_TIMEOUTS = obs.counter("repro_supervisor_timeouts_total",
-                            "Supervised pool tasks killed on timeout")
+                            "Pool workers killed on a job timeout")
 
 #: Per-job wall-clock timeout in seconds (float), e.g. ``REPRO_SWEEP_TIMEOUT=30``.
 TIMEOUT_ENV_VAR = "REPRO_SWEEP_TIMEOUT"
@@ -77,14 +70,8 @@ RETRIES_ENV_VAR = "REPRO_SWEEP_RETRIES"
 #: First backoff pause in seconds (float); doubles per subsequent attempt.
 BACKOFF_ENV_VAR = "REPRO_SWEEP_BACKOFF"
 
-#: Extra seconds of deadline slack per batch, covering dispatch overhead and
-#: worker warm-up so a tight per-job timeout does not misfire on the pickling
-#: round-trip itself.
-_DEADLINE_GRACE = 1.0
-
-
-class _PoolBroken(Exception):
-    """Internal signal: ``pool.submit`` found the pool already broken."""
+#: Jobs a pool worker holds at once: the one it runs and one waiting.
+_JOBS_PER_WORKER = 2
 
 
 class SweepJobError(RuntimeError):
@@ -122,22 +109,16 @@ def _env_int(name: str) -> Optional[int]:
         raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def env_configured() -> bool:
-    """Whether any supervision knob is set in the environment."""
-    return any(os.environ.get(name, "").strip()
-               for name in (TIMEOUT_ENV_VAR, RETRIES_ENV_VAR,
-                            BACKOFF_ENV_VAR))
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Supervision knobs: retries, backoff, timeout, degradation.
 
-    ``timeout_seconds`` is *per job*: a batch of k jobs gets ``k *
-    timeout_seconds`` of wall clock (plus a fixed dispatch grace) before it
-    is declared hung.  ``None`` disables timeouts.  ``degrade_to_python``
-    controls whether a crashed or timed-out job earns one final attempt
-    under the forced Python reference engine.
+    ``timeout_seconds`` is *per job*: it bounds the job's in-worker attempts
+    together, counted from when its pool worker could first start it.
+    ``None`` disables timeouts; serial sweeps cannot enforce them.
+    ``degrade_to_python`` controls whether a crashed, timed-out or
+    native-faulting job earns one final attempt under the forced Python
+    reference engine.
     """
 
     max_attempts: int = 3
@@ -175,11 +156,7 @@ class RetryPolicy:
                 kwargs["timeout_seconds"] = env_timeout
             retry = cls(**kwargs)
         if timeout is not None:
-            retry = RetryPolicy(max_attempts=retry.max_attempts,
-                                backoff_seconds=retry.backoff_seconds,
-                                backoff_factor=retry.backoff_factor,
-                                timeout_seconds=float(timeout),
-                                degrade_to_python=retry.degrade_to_python)
+            retry = replace(retry, timeout_seconds=float(timeout))
         return retry
 
     def backoff_for(self, attempt: int) -> float:
@@ -193,14 +170,14 @@ class JobFailure:
     """Structured record of one job that failed for good.
 
     ``kind`` distinguishes the failure class: ``"exception"`` (an in-band
-    Python exception from ``execute_job``), ``"timeout"`` (the supervision
-    deadline fired), ``"crash"`` (the worker process died —
-    ``BrokenProcessPool``) or ``"native_fault"`` (a structured
+    Python exception from ``execute_job``), ``"timeout"`` (the job overran
+    its wall-clock budget), ``"crash"`` (its worker process died) or
+    ``"native_fault"`` (a structured
     :class:`repro.snitch.native.NativeEngineError` from an in-engine guard
-    — handled in-band with a degraded retry, never a pool respawn).
-    ``engine`` is the engine mode of the *final*
-    attempt: ``"python"`` when it ran degraded/forced, ``"auto"`` when the
-    normal native-first selection applied.
+    — handled in-band with a degraded retry, never a worker replacement).
+    ``engine`` is the engine mode of the *final* attempt: ``"python"`` when
+    it ran degraded/forced, ``"auto"`` when the normal native-first
+    selection applied.
     """
 
     label: str
@@ -229,76 +206,6 @@ class JobFailure:
 
 
 @dataclass
-class SupervisionOutcome:
-    """What the supervised pool did beyond the happy path."""
-
-    failures: List[JobFailure] = field(default_factory=list)
-    retries: int = 0
-    pool_restarts: int = 0
-    bisections: int = 0
-    timeouts: int = 0
-    #: Structured in-engine faults (NativeEngineError) routed in-band.
-    native_faults: int = 0
-    degraded: List[str] = field(default_factory=list)
-    #: label -> attempts, for jobs that eventually succeeded after retries.
-    retried: Dict[str, int] = field(default_factory=dict)
-
-
-def execute_batch_supervised(jobs: Sequence[SweepJob], attempt: int = 1,
-                             force_python: bool = False
-                             ) -> List[Dict[str, object]]:
-    """Pool task body: run each job, reporting per-job outcomes.
-
-    Unlike the plain ``execute_batch``, an exception in one job does not
-    poison the batch — each job yields either ``{"ok": True, "result": ...}``
-    or ``{"ok": False, <error details>}``, so the supervisor can retry
-    exactly the failing job.  (Hangs and worker death still swallow the
-    whole batch; those are what bisection is for.)  ``force_python`` wraps
-    execution in :func:`repro.snitch.native.forced_python` — the degraded
-    retry path for native crashes.
-    """
-    from repro.snitch import native
-    from repro.sweep.engine import execute_job
-
-    outcomes: List[Dict[str, object]] = []
-    for job in jobs:
-        start = time.perf_counter()
-        try:
-            if force_python:
-                with native.forced_python():
-                    result = execute_job(job, attempt=attempt)
-            else:
-                result = execute_job(job, attempt=attempt)
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            entry: Dict[str, object] = {
-                "ok": False,
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback_module.format_exc(),
-                "elapsed": time.perf_counter() - start,
-                "engine": "python" if (force_python or native.python_forced())
-                          else "auto",
-            }
-            if isinstance(exc, native.NativeEngineError):
-                # Structured guard fault: the engine caught its own problem
-                # and returned cleanly — route as native_fault so the
-                # supervisor degrades in-band instead of suspecting the
-                # worker.
-                entry["kind"] = "native_fault"
-                entry["native"] = {"code": exc.code, "name": exc.name,
-                                   "hart": exc.hart, "pc": exc.pc,
-                                   "addr": exc.addr}
-            outcomes.append(entry)
-        else:
-            outcomes.append({
-                "ok": True,
-                "result": result,
-                "elapsed": time.perf_counter() - start,
-            })
-    return outcomes
-
-
-@dataclass
 class SingleJobOutcome:
     """What one in-process supervised execution produced.
 
@@ -319,24 +226,61 @@ class SingleJobOutcome:
     native_faults: int = 0
 
 
+@dataclass
+class SupervisionOutcome:
+    """What supervision did across one sweep beyond the happy path."""
+
+    failures: List[JobFailure] = field(default_factory=list)
+    retries: int = 0
+    #: Pool workers killed and replaced after a crash or timeout.
+    pool_restarts: int = 0
+    timeouts: int = 0
+    #: Structured in-engine faults (NativeEngineError) routed in-band.
+    native_faults: int = 0
+    degraded: List[str] = field(default_factory=list)
+    #: label -> attempts, for jobs that eventually succeeded after retries.
+    retried: Dict[str, int] = field(default_factory=dict)
+
+    def record(self, index: int, label: str,
+               outcome: SingleJobOutcome) -> Optional[KernelRunResult]:
+        """Fold one job's outcome in; return its result (None if it failed)."""
+        self.retries += outcome.retries
+        self.native_faults += outcome.native_faults
+        if outcome.failure is not None:
+            outcome.failure.index = index
+            self.failures.append(outcome.failure)
+            return None
+        if outcome.attempts > 1:
+            self.retried[label] = outcome.attempts
+        if outcome.degraded:
+            self.degraded.append(label)
+        return outcome.result
+
+
 #: Optional progress hook for :func:`execute_supervised`:
 #: ``report(phase, **detail)`` with phases ``"retry"`` and ``"degraded"``.
 ReportFn = Callable[..., None]
 
 
 def execute_supervised(job: SweepJob, policy: RetryPolicy,
-                       report: Optional[ReportFn] = None) -> SingleJobOutcome:
+                       report: Optional[ReportFn] = None, *,
+                       attempt: int = 1,
+                       force_python: bool = False) -> SingleJobOutcome:
     """Run one job in-process under the full supervision policy.
 
-    This is the single-job core shared by the sweep engine's serial
-    supervised path and the service job queue
-    (:mod:`repro.service.queue`): bounded retry with exponential backoff
-    for in-band exceptions, and immediate degradation to the forced Python
-    engine on a structured :class:`~repro.snitch.native.NativeEngineError`
-    (a deterministic guard fault would just fire again natively).  Timeouts
-    and crash recovery need worker processes and live in
-    :class:`SupervisedPool`; an injected segfault degrades to an in-band
-    exception in-process (see :mod:`repro.sweep.faults`).
+    This is the single-job core shared by the sweep engine (serially and
+    inside every pool worker), the service job queue
+    (:mod:`repro.service.queue`) and the fabric worker: bounded retry with
+    exponential backoff for in-band exceptions, and immediate degradation
+    to the forced Python engine on a structured
+    :class:`~repro.snitch.native.NativeEngineError` (a deterministic guard
+    fault would just fire again natively).  Timeouts and crash recovery
+    need worker processes and live in :class:`SupervisedPool`; an injected
+    segfault degrades to an in-band exception in-process (see
+    :mod:`repro.sweep.faults`).
+
+    ``attempt`` and ``force_python`` say where on the ladder to start: the
+    pool passes them when it re-runs a job whose worker crashed or timed out.
 
     ``report``, when given, is called as ``report("retry", attempt=n,
     error=...)`` / ``report("degraded", attempt=n, error=...)`` before each
@@ -345,8 +289,6 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
     from repro.snitch import native
     from repro.sweep.engine import execute_job
 
-    attempt = 1
-    force_python = False
     retries = 0
     native_faults = 0
     while True:
@@ -413,350 +355,212 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
                                     native_faults=native_faults)
 
 
+def _worker_main(conn, policy: RetryPolicy) -> None:
+    """Pool worker body: run each job sent down ``conn``, send its outcome.
+
+    SIGINT is ignored: a Ctrl-C reaches the parent, which kills its workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        job, attempt, force_python = message
+        outcome = execute_supervised(job, policy, attempt=attempt,
+                                     force_python=force_python)
+        # The failure record carries the exception's type, text and
+        # traceback; the object itself need not survive pickling.
+        conn.send(replace(outcome, exception=None))
+
+
 @dataclass
 class _Task:
-    """One unit of pool work: a batch of job indices plus retry state.
+    """One job's place on the crash/timeout ladder."""
 
-    ``attempt`` is meaningful for singleton tasks (retry bookkeeping);
-    fresh multi-job batches always carry attempt 1.  ``not_before`` delays
-    resubmission for backoff.  ``suspect`` marks a task that was in flight
-    when the pool broke: a crash fails *every* in-flight future, so any of
-    them may be the culprit — suspects are re-run solo (nothing else in
-    flight) without charging an attempt, which makes the next crash
-    definitively attributable and exonerates the innocent.
-    """
-
-    indices: Tuple[int, ...]
+    index: int
     attempt: int = 1
     force_python: bool = False
     not_before: float = 0.0
-    suspect: bool = False
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the tasks sent
+    down it in order (the head is the one running)."""
+
+    def __init__(self, context, policy: RetryPolicy) -> None:
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(target=_worker_main,
+                                       args=(child_conn, policy), daemon=True)
+        self.process.start()
+        child_conn.close()  # so EOF on ``conn`` means the worker died
+        self.tasks: Deque[_Task] = deque()
+        #: When the head task could first start running.
+        self.started = 0.0
+
+    def send(self, job: SweepJob, task: _Task) -> None:
+        if not self.tasks:
+            self.started = time.monotonic()
+        self.tasks.append(task)
+        try:
+            self.conn.send((job, task.attempt, task.force_python))
+        except OSError:
+            pass  # the worker died: EOF charges its head task
+
+    def stop(self, kill: bool) -> None:
+        """Join the process after asking it to exit, or after killing it."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        self.process.join()
+        self.conn.close()
 
 
 class SupervisedPool:
-    """Runs index batches through a worker pool with recovery policies."""
+    """Runs sweep jobs on supervised worker processes (see module docs)."""
 
     def __init__(self, jobs: Sequence[SweepJob], workers: int,
-                 policy: RetryPolicy, mp_context=None) -> None:
+                 policy: RetryPolicy) -> None:
         self.jobs = list(jobs)
         self.workers = max(1, int(workers))
         self.policy = policy
-        self.mp_context = mp_context
+        # Fork workers are cheap and inherit the parent's warm caches.
+        self.context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
 
-    # -- pool lifecycle -----------------------------------------------------
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=self.mp_context)
-
-    def _kill_pool(self, pool: ProcessPoolExecutor) -> None:
-        """Tear a (possibly hung or broken) pool down without waiting.
-
-        Running pool tasks cannot be cancelled, so hung workers are
-        terminated outright; ``_processes`` is stable CPython executor
-        internals (guarded for absence).
-        """
-        procs = getattr(pool, "_processes", None)
-        processes = list(procs.values()) if procs else []
-        for proc in processes:
-            try:
-                proc.terminate()
-            except Exception:  # noqa: BLE001 - already-dead workers etc.
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # noqa: BLE001 - broken executors may complain
-            pass
-        for proc in processes:
-            try:
-                proc.join(timeout=1.0)
-            except Exception:  # noqa: BLE001
-                pass
-
-    # -- supervision loop ---------------------------------------------------
-
-    def run(self, batches: Sequence[Sequence[int]],
+    def run(self, indices: Sequence[int],
             on_result: Callable[[int, KernelRunResult], None]
             ) -> SupervisionOutcome:
-        """Execute all batches; returns the supervision outcome.
+        """Execute the jobs at ``indices``; returns the supervision outcome.
 
         ``on_result(index, result)`` fires in the parent for every
-        successful job as soon as its batch reports — the sweep engine uses
-        it to persist results incrementally, which is what makes resume
-        after an interrupt cheap.  On ``KeyboardInterrupt`` the already
-        completed outcomes are flushed, the pool is torn down, and the
-        interrupt propagates.
+        successful job as soon as it arrives — the sweep engine uses it to
+        persist results incrementally, which is what makes resume after an
+        interrupt cheap.  Every worker is joined before this returns or
+        re-raises (a ``KeyboardInterrupt`` or an exception from
+        ``on_result`` kills them first).
         """
-        queue: deque = deque(_Task(tuple(batch)) for batch in batches)
-        running: Dict[object, Tuple[_Task, Optional[float]]] = {}
+        queue: Deque[_Task] = deque(_Task(index) for index in indices)
         outcome = SupervisionOutcome()
-        pool = self._new_pool()
+        timeout = self.policy.timeout_seconds
+        workers: List[_Worker] = []
+        clean = False
         try:
-            while queue or running:
-                now = time.monotonic()
-                try:
-                    self._submit_eligible(pool, queue, running, now)
-                except _PoolBroken:
-                    # The pool died between completions (e.g. the breaking
-                    # future has not surfaced yet): requeue everything in
-                    # flight as suspects and respawn.  The poisoned batch,
-                    # if any, will fail attributably when run solo.
-                    for task, _deadline in running.values():
-                        task.suspect = True
-                        queue.append(task)
-                    running.clear()
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-                    outcome.pool_restarts += 1
-                    continue
-                if not running:
-                    # Everything queued is waiting out a backoff pause.
-                    pause = min(task.not_before for task in queue) - now
-                    if pause > 0:
-                        time.sleep(pause)
-                    continue
-                done, _ = wait(list(running), timeout=self._next_wake(running),
-                               return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    task, _deadline = running.pop(future)
-                    try:
-                        outcomes = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        if task.suspect:
-                            # Suspects run solo — this crash is provably
-                            # this task's own doing.
-                            self._opaque_failure(task, "crash", queue,
-                                                 outcome)
-                        else:
-                            # Possibly collateral damage from a poisoned
-                            # sibling: re-run solo, no attempt charged.
-                            task.suspect = True
-                            queue.append(task)
-                    except Exception as exc:  # noqa: BLE001 - defensive
-                        self._opaque_failure(task, "exception", queue,
-                                             outcome, exc)
+            for _ in range(self.workers):
+                workers.append(_Worker(self.context, self.policy))
+            while queue or any(worker.tasks for worker in workers):
+                self._dispatch(queue, workers)
+                wait([worker.conn for worker in workers if worker.tasks],
+                     self._wake(queue, workers))
+                for slot, worker in enumerate(workers):
+                    if not worker.tasks:
+                        continue
+                    if not self._receive(worker, on_result, outcome):
+                        kind = "crash"
+                    elif (worker.tasks and timeout is not None
+                          and time.monotonic() >= worker.started + timeout):
+                        kind = "timeout"
                     else:
-                        self._deliver(task, outcomes, on_result, queue,
-                                      outcome)
-                if broken:
-                    # The whole pool is dead: the remaining in-flight
-                    # batches are suspects too (any of them may have been
-                    # the killer); requeue them and respawn.
-                    for task, _deadline in running.values():
-                        task.suspect = True
-                        queue.append(task)
-                    running.clear()
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-                    outcome.pool_restarts += 1
-                    continue
-                hung = [(future, task)
-                        for future, (task, deadline) in running.items()
-                        if deadline is not None
-                        and time.monotonic() >= deadline]
-                if hung:
-                    # Hung tasks cannot be cancelled: kill the pool, requeue
-                    # the innocent in-flight batches, bisect/fail the hung
-                    # ones.
-                    hung_futures = {future for future, _task in hung}
-                    for future, (task, _deadline) in running.items():
-                        if future not in hung_futures:
-                            queue.append(task)
-                    running.clear()
-                    outcome.timeouts += len(hung)
-                    _OBS_TIMEOUTS.inc(len(hung))
-                    for _future, task in hung:
-                        self._opaque_failure(task, "timeout", queue, outcome)
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-                    outcome.pool_restarts += 1
-        except KeyboardInterrupt:
-            # Drain cleanly: flush outcomes that already arrived, then tear
-            # the pool down so no orphan workers keep simulating.  The
-            # teardown must run even if the flush is itself interrupted
-            # (e.g. a second Ctrl-C mid-flush).
-            try:
-                for future in list(running):
-                    if future.done():
-                        task, _deadline = running.pop(future)
-                        try:
-                            outcomes = future.result(timeout=0)
-                        except Exception:  # noqa: BLE001 - broken/poisoned
-                            continue
-                        self._deliver(task, outcomes, on_result, queue,
-                                      outcome, allow_requeue=False)
-            finally:
-                self._kill_pool(pool)
-            raise
-        else:
-            pool.shutdown(wait=True)
+                        continue
+                    self._fail_head(worker, kind, queue, outcome)
+                    workers[slot] = _Worker(self.context, self.policy)
+            clean = True
+        finally:
+            for worker in workers:
+                worker.stop(kill=not clean)
         return outcome
 
-    # -- helpers ------------------------------------------------------------
-
-    def _submit_eligible(self, pool, queue, running, now) -> None:
-        """Fill the pool up to one outstanding task per worker.
-
-        No over-subscription: a task sitting in the executor's internal
-        queue would burn deadline time without running.  Suspect tasks
-        (possible pool-killers) run strictly solo: non-suspects drain in
-        parallel first, then suspects go one at a time with nothing else in
-        flight, so a repeat crash is attributable with certainty.
-        """
-        while queue and len(running) < self.workers:
-            if any(task.suspect for task, _deadline in running.values()):
-                return  # quarantine lane busy: nothing may join it
-            task = self._pop_eligible(queue, now, suspects=False)
-            solo = False
-            if task is None:
-                if running:
-                    return  # suspects must wait for an empty pool
-                task = self._pop_eligible(queue, now, suspects=True)
-                if task is None:
-                    return
-                solo = True
-            batch_jobs = [self.jobs[i] for i in task.indices]
-            try:
-                future = pool.submit(execute_batch_supervised, batch_jobs,
-                                     task.attempt, task.force_python)
-            except BrokenProcessPool:
-                queue.appendleft(task)
-                raise _PoolBroken() from None
-            deadline = None
-            if self.policy.timeout_seconds is not None:
-                deadline = (time.monotonic() + _DEADLINE_GRACE
-                            + self.policy.timeout_seconds * len(task.indices))
-            running[future] = (task, deadline)
-            if solo:
-                return
-
-    @staticmethod
-    def _pop_eligible(queue: deque, now: float,
-                      suspects: bool) -> Optional[_Task]:
-        """First backoff-elapsed task from the requested lane, else None."""
-        for _ in range(len(queue)):
-            task = queue.popleft()
-            if task.suspect == suspects and task.not_before <= now:
-                return task
-            queue.append(task)
-        return None
-
-    def _next_wake(self, running) -> Optional[float]:
-        """Seconds until the nearest deadline (None = wait for completion)."""
-        deadlines = [deadline for _task, deadline in running.values()
-                     if deadline is not None]
-        if not deadlines:
-            return None
-        return max(0.05, min(deadlines) - time.monotonic())
-
-    def _deliver(self, task: _Task, outcomes, on_result, queue,
-                 outcome: SupervisionOutcome, allow_requeue: bool = True
-                 ) -> None:
-        """Fan a finished batch's per-job outcomes into results/retries."""
-        for index, job_outcome in zip(task.indices, outcomes):
-            if job_outcome["ok"]:
-                label = self.jobs[index].label
-                if task.attempt > 1:
-                    outcome.retried[label] = task.attempt
-                if task.force_python:
-                    outcome.degraded.append(label)
-                on_result(index, job_outcome["result"])
-            elif allow_requeue:
-                self._job_failure(index, task,
-                                  job_outcome.get("kind", "exception"),
-                                  job_outcome, queue, outcome)
-
-    def _opaque_failure(self, task: _Task, kind: str, queue,
-                        outcome: SupervisionOutcome,
-                        exc: Optional[BaseException] = None) -> None:
-        """A batch failed without per-job attribution: bisect or escalate."""
-        if len(task.indices) > 1:
-            # The batch is proven poisoned but the culprit job is unknown:
-            # split and re-run both halves solo (still suspects).
-            mid = len(task.indices) // 2
-            queue.append(_Task(task.indices[:mid],
-                               force_python=task.force_python, suspect=True))
-            queue.append(_Task(task.indices[mid:],
-                               force_python=task.force_python, suspect=True))
-            outcome.bisections += 1
-            return
-        info = {
-            "error_type": type(exc).__name__ if exc is not None else {
-                "crash": "BrokenProcessPool", "timeout": "TimeoutError",
-            }.get(kind, "RuntimeError"),
-            "message": str(exc) if exc is not None else {
-                "crash": "worker process died while running this job",
-                "timeout": (f"job exceeded its "
-                            f"{self.policy.timeout_seconds}s wall-clock "
-                            f"timeout"),
-            }.get(kind, "batch execution failed"),
-            "traceback": "",
-            "elapsed": (self.policy.timeout_seconds or 0.0
-                        if kind == "timeout" else 0.0),
-            "engine": "python" if task.force_python else "auto",
-        }
-        self._job_failure(task.indices[0], task, kind, info, queue, outcome)
-
-    def _job_failure(self, index: int, task: _Task, kind: str, info,
-                     queue, outcome: SupervisionOutcome) -> None:
-        """One isolated job failed once: retry, degrade, or record.
-
-        Normal retries come first — a pool crash fails every in-flight
-        future, so the first crash/timeout observed for a job may be
-        collateral damage from a poisoned sibling batch rather than the
-        job's own fault.  Only once ordinary attempts are exhausted does a
-        crashing/hanging job earn one final attempt under the forced Python
-        engine (the native C engine being the component most likely to
-        crash or wedge); a failure of that degraded attempt is terminal.
-        """
+    def _dispatch(self, queue: Deque[_Task], workers: List[_Worker]) -> None:
+        """Top every worker up to two tasks, idle workers first."""
         now = time.monotonic()
-        job = self.jobs[index]
-        if task.force_python:
-            # The degraded Python attempt was the last resort.
-            pass
-        elif kind == "native_fault" and self.policy.degrade_to_python:
-            # The engine's own guards caught the problem and returned a
-            # structured error through the ctypes call: the worker is
-            # healthy, the fault is deterministic, and the remedy is known.
-            # Degrade straight to the Python engine — in-band, no suspect
-            # quarantine, no pool respawn, no bisection.
+        for depth in range(_JOBS_PER_WORKER):
+            for worker in workers:
+                if len(worker.tasks) != depth:
+                    continue
+                ready = next((i for i, task in enumerate(queue)
+                              if task.not_before <= now), None)
+                if ready is None:
+                    return
+                task = queue[ready]
+                del queue[ready]
+                worker.send(self.jobs[task.index], task)
+
+    def _wake(self, queue: Deque[_Task],
+              workers: List[_Worker]) -> Optional[float]:
+        """Seconds until the next deadline or backoff expiry (None: none)."""
+        times = []
+        if self.policy.timeout_seconds is not None:
+            times = [worker.started + self.policy.timeout_seconds
+                     for worker in workers if worker.tasks]
+        if any(len(worker.tasks) < _JOBS_PER_WORKER for worker in workers):
+            times.extend(task.not_before for task in queue)
+        if not times:
+            return None
+        return max(0.0, min(times) - time.monotonic())
+
+    def _receive(self, worker: _Worker, on_result,
+                 outcome: SupervisionOutcome) -> bool:
+        """Take every outcome the worker has sent; False if it died."""
+        while worker.tasks and worker.conn.poll():
+            try:
+                job_outcome = worker.conn.recv()
+            except (EOFError, OSError):
+                return False
+            task = worker.tasks.popleft()
+            worker.started = time.monotonic()
+            result = outcome.record(task.index, self.jobs[task.index].label,
+                                    job_outcome)
+            if result is not None:
+                on_result(task.index, result)
+        return True
+
+    def _fail_head(self, worker: _Worker, kind: str, queue: Deque[_Task],
+                   outcome: SupervisionOutcome) -> None:
+        """Kill and join the worker, charge its head task with ``kind``
+        (``"crash"`` or ``"timeout"``) and requeue the task waiting behind
+        it uncharged — it never started.
+
+        The charged job is retried up to ``max_attempts``, then gets one
+        final attempt under the forced Python engine; a failure of that
+        attempt is terminal.
+        """
+        elapsed = time.monotonic() - worker.started
+        worker.stop(kill=True)
+        outcome.pool_restarts += 1
+        head = worker.tasks.popleft()
+        queue.extendleft(reversed(worker.tasks))
+        if kind == "timeout":
+            outcome.timeouts += 1
+            _OBS_TIMEOUTS.inc()
+        policy = self.policy
+        if not head.force_python and (head.attempt < policy.max_attempts
+                                      or policy.degrade_to_python):
             outcome.retries += 1
-            outcome.native_faults += 1
-            queue.append(_Task((index,), attempt=task.attempt + 1,
-                               force_python=True,
-                               not_before=now
-                               + self.policy.backoff_for(task.attempt)))
+            queue.append(_Task(
+                head.index, head.attempt + 1,
+                force_python=head.attempt >= policy.max_attempts,
+                not_before=time.monotonic()
+                + policy.backoff_for(head.attempt)))
             return
-        elif task.attempt < self.policy.max_attempts:
-            # Proven crashers/hangers stay in the solo lane so their next
-            # misbehavior cannot take innocent work down with it.
-            outcome.retries += 1
-            queue.append(_Task((index,), attempt=task.attempt + 1,
-                               suspect=kind in ("crash", "timeout"),
-                               not_before=now
-                               + self.policy.backoff_for(task.attempt)))
-            return
-        elif (kind in ("crash", "timeout")
-              and self.policy.degrade_to_python):
-            # Native crash/hang heuristic: one more attempt, Python engine.
-            outcome.retries += 1
-            queue.append(_Task((index,), attempt=task.attempt + 1,
-                               force_python=True, suspect=True,
-                               not_before=now
-                               + self.policy.backoff_for(task.attempt)))
-            return
+        job = self.jobs[head.index]
+        if kind == "crash":
+            error_type = "WorkerCrash"
+            message = (f"worker process died (exit code "
+                       f"{worker.process.exitcode}) while running this job")
+        else:
+            error_type = "TimeoutError"
+            message = (f"job exceeded its {policy.timeout_seconds}s "
+                       f"wall-clock timeout")
         outcome.failures.append(JobFailure(
-            label=job.label,
-            job_hash=job.content_hash(),
-            kind=kind,
-            error_type=info["error_type"],
-            message=info["message"],
-            traceback=info.get("traceback", ""),
-            attempts=task.attempt,
-            engine="python" if task.force_python else info.get("engine",
-                                                               "auto"),
-            elapsed=float(info.get("elapsed", 0.0)),
-            index=index,
-        ))
+            label=job.label, job_hash=job.content_hash(), kind=kind,
+            error_type=error_type, message=message, traceback="",
+            attempts=head.attempt,
+            engine="python" if head.force_python else "auto",
+            elapsed=elapsed, index=head.index))

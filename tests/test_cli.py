@@ -202,6 +202,42 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "20 executed, 0 cache hits" in out
 
+    def test_collect_covers_the_scaleout_direct_tiles(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # The direct scaleout's tile jobs run in the one supervised sweep,
+        # so a failing tile skips the artifact instead of crashing the run.
+        from repro.sweep import faults
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv(faults.FAULT_ENV_VAR,
+                           "mode=raise:kernel=jacobi_2d:variant=saris")
+        report_path = tmp_path / "report.json"
+        code = main(["reproduce", "--subset", "scaleout_direct",
+                     "--on-error", "collect", "--retries", "1",
+                     "--workers", "1", "-q", "-o", str(report_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAILED jobs" in out and "scaleout_direct [skipped]" in out
+        report = json.loads(report_path.read_text())
+        assert {failure["label"] for failure in report["failures"]} \
+            == {"jacobi_2d/saris@manticore-2-cluster"}
+        assert all(failure["attempts"] == 1 for failure in report["failures"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--retries", "0"],
+    ["reproduce", "--timeout", "0"],
+    ["reproduce", "--timeout", "-1"],
+    ["serve", "--retries", "0"],
+    ["serve", "--fabric", "--lease-ttl", "0"],
+    ["worker", "--retries", "0"],
+])
+def test_non_positive_supervision_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
 
 class TestDoctorCommand:
     def test_text_report(self, capsys):

@@ -5,6 +5,7 @@ fault-injection harness (:mod:`repro.sweep.faults`), so worker death, hangs
 and flaky failures are reproduced on demand instead of hoped for.
 """
 
+import collections
 import json
 import os
 import warnings
@@ -20,7 +21,6 @@ from repro.sweep.supervisor import (
     JobFailure,
     RetryPolicy,
     SweepJobError,
-    env_configured,
 )
 from tests.conftest import SMALL_TILES, small_tile
 
@@ -53,7 +53,6 @@ class TestRetryPolicy:
         assert policy.max_attempts == 5
         assert policy.backoff_seconds == 0.01
         assert policy.timeout_seconds == 2.5
-        assert env_configured()
 
     def test_timeout_shortcut_overrides(self):
         policy = RetryPolicy.resolve(RetryPolicy(timeout_seconds=9.0), 1.5)
@@ -194,21 +193,6 @@ class TestParallelSupervision:
         assert report.timeouts >= 1
         assert sum(r is not None for r in report.results) == len(jobs) - 1
 
-    def test_bisection_isolates_the_poisoned_batch_member(self):
-        # Enough jobs that batches hold several jobs each, so an opaque
-        # worker death must be bisected down to the culprit.
-        jobs = [SweepJob.make(k, v, tile_shape=SMALL_TILES[k])
-                for k in SMALL_TILES for v in ("saris", "base")]
-        with injected(FaultSpec(mode="segfault", kernel="box3d1r",
-                                variant="saris", engine="native")):
-            report = run_sweep(jobs, workers=2, on_error="collect",
-                               retry=RetryPolicy(max_attempts=2,
-                                                 backoff_seconds=0.001))
-        assert report.batch_size > 1
-        assert report.bisections >= 1
-        assert report.ok
-        assert report.degraded == ["box3d1r/saris"]
-
     def test_supervised_parallel_is_bit_identical_to_serial(self):
         jobs = job_list()
         serial = run_sweep(jobs, workers=1)
@@ -223,6 +207,64 @@ class TestParallelSupervision:
             report = run_sweep([small_job()], workers=1)
         assert report.ok
         assert report.retried == {"jacobi_2d/saris": 2}
+
+
+class TestExactAttribution:
+    """A crash or a hang is charged to the job that caused it: only that
+    job's worker is replaced and no other job runs twice."""
+
+    @staticmethod
+    def small_jobs():
+        return [SweepJob.make(k, v, tile_shape=SMALL_TILES[k])
+                for k in SMALL_TILES for v in ("saris", "base")]
+
+    @staticmethod
+    def count_executions(monkeypatch, tmp_path):
+        """Log every execute_job call (forked workers inherit the patch)."""
+        from repro.sweep import engine
+
+        log = tmp_path / "executions.log"
+        log.touch()
+        original = engine.execute_job
+
+        def logged(job, attempt=1):
+            with open(log, "a") as fh:
+                fh.write(job.label + "\n")
+            return original(job, attempt=attempt)
+
+        monkeypatch.setattr(engine, "execute_job", logged)
+        return lambda: collections.Counter(log.read_text().split())
+
+    def test_crash_reruns_only_the_culprit(self, monkeypatch, tmp_path):
+        executions = self.count_executions(monkeypatch, tmp_path)
+        jobs = self.small_jobs()
+        with injected(FaultSpec(mode="segfault", kernel="box3d1r",
+                                variant="saris", engine="native")):
+            report = run_sweep(jobs, workers=2, on_error="collect",
+                               retry=RetryPolicy(max_attempts=2,
+                                                 backoff_seconds=0.001))
+        assert report.ok
+        assert report.degraded == ["box3d1r/saris"]
+        assert report.pool_restarts == 2
+        counts = executions()
+        # Two native attempts crash, the degraded Python attempt succeeds.
+        assert counts.pop("box3d1r/saris") == 3
+        assert counts == {job.label: 1 for job in jobs
+                          if job.label != "box3d1r/saris"}
+
+    def test_timeout_fails_only_the_hung_job(self, monkeypatch, tmp_path):
+        executions = self.count_executions(monkeypatch, tmp_path)
+        jobs = self.small_jobs()
+        with injected(FaultSpec(mode="hang", kernel="j2d9pt",
+                                variant="saris", hang_seconds=30.0)):
+            report = run_sweep(jobs, workers=2, on_error="collect",
+                               retry=RetryPolicy(max_attempts=1,
+                                                 timeout_seconds=1.0,
+                                                 degrade_to_python=False))
+        assert [(f.label, f.kind) for f in report.failures] \
+            == [("j2d9pt/saris", "timeout")]
+        assert report.timeouts == report.pool_restarts == 1
+        assert executions() == {job.label: 1 for job in jobs}
 
 
 class TestStats:
@@ -290,20 +332,17 @@ class TestResume:
         assert [metrics_key(a) for a in baseline.results] \
             == [metrics_key(b) for b in resumed.results]
 
-    def test_legacy_parallel_interrupt_also_flushes(self, tmp_path):
-        jobs = job_list()
-        store = ResultStore(tmp_path)
-        seen = []
+    def test_workers_are_joined_on_return_and_on_interrupt(self):
+        import multiprocessing
 
-        def interrupt_after_two(done, total, job, source):
-            seen.append(job.label)
-            if len(seen) >= 2:
-                raise KeyboardInterrupt
+        def interrupt(done, total, job, source):
+            raise KeyboardInterrupt
 
+        before = set(multiprocessing.active_children())
+        run_sweep(job_list(), workers=2)
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(jobs, workers=2, store=store,
-                      progress=interrupt_after_two)
-        assert len(store) >= 2
+            run_sweep(job_list(), workers=2, progress=interrupt)
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestStoreRobustness:

@@ -383,17 +383,6 @@ class TestEngine:
         pair = estimate_scaleout_pair(get_kernel("jacobi_2d"), base, saris)
         assert pair["speedup"] > 0
 
-    def test_parallel_batches_jobs_per_task(self):
-        """Several jobs ride one pool task; results stay in input order."""
-        jobs = [small_job("jacobi_2d", v, seed=s)
-                for v in ("base", "saris") for s in range(3)]
-        serial = run_sweep(jobs, workers=1, store=None)
-        parallel = run_sweep(jobs, workers=2, store=None)
-        assert parallel.batch_size >= 1
-        assert parallel.stats()["batch_size"] == parallel.batch_size
-        for ser, par in zip(serial.results, parallel.results):
-            assert metrics_key(ser) == metrics_key(par)
-
     def test_parallel_effective_reflects_cpu_count(self):
         jobs = [small_job("jacobi_2d", v) for v in ("base", "saris")]
         report = run_sweep(jobs, workers=2, store=None)
