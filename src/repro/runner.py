@@ -18,8 +18,9 @@ checks the produced output grid against the NumPy reference.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -27,7 +28,11 @@ import numpy as np
 from repro import obs
 from repro.core import progcache
 from repro.core.codegen_common import GeneratedProgram, planning_scope
-from repro.core.kernels import get_kernel, kernel_fingerprint
+from repro.core.kernels import (
+    get_kernel,
+    kernel_fingerprint,
+    registered_fingerprint,
+)
 from repro.fingerprint import callable_fingerprint
 from repro.core.layout import TileLayout, build_layout
 from repro.core.parallel import cluster_geometry, default_interleave
@@ -59,8 +64,13 @@ class RunnerError(RuntimeError):
     """Raised when a kernel run cannot be set up or produces invalid results."""
 
 
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
 def _json_safe(value):
     """Recursively convert a value into plain JSON-serializable types."""
+    if type(value) in _JSON_LEAVES:
+        return value
     if isinstance(value, dict):
         return {str(key): _json_safe(val) for key, val in value.items()}
     if isinstance(value, (list, tuple)):
@@ -155,7 +165,11 @@ class KernelRunResult:
         """Serializable metrics core: this result minus the cluster detail."""
         if self.cluster is None:
             return self
-        return replace(self, cluster=None)
+        # A shallow copy: the fields are already normalized, so
+        # ``__post_init__`` need not run again.
+        core = copy.copy(self)
+        core.cluster = None
+        return core
 
     def to_json_dict(self) -> Dict[str, object]:
         """Full serializable payload for the on-disk result store."""
@@ -273,7 +287,20 @@ class VariantComparison:
 def _resolve_kernel(kernel: Union[str, StencilKernel]) -> StencilKernel:
     if isinstance(kernel, StencilKernel):
         return kernel
-    return get_kernel(kernel)
+    resolved = get_kernel(kernel)
+    # The registry memoizes the fingerprint per name; stamping it on the
+    # fresh instance spares every run a walk of the kernel IR.
+    resolved._codegen_fingerprint = registered_fingerprint(kernel)
+    return resolved
+
+
+def _params_key(params: TimingParams) -> tuple:
+    """Memo-key form of ``params``: its field values in declaration order.
+
+    Equal to ``dataclasses.astuple(params)`` (every field is a scalar)
+    without its recursive deep copy.
+    """
+    return tuple(getattr(params, f.name) for f in fields(params))
 
 
 def tile_traffic_bytes(kernel: StencilKernel, tile_shape: Tuple[int, ...]) -> int:
@@ -302,7 +329,7 @@ def measure_dma_utilization(kernel: StencilKernel, tile_shape: Tuple[int, ...],
     """
     params = params or TimingParams()
     tile_shape = tuple(tile_shape)
-    key = (kernel_fingerprint(kernel), tile_shape, astuple(params))
+    key = (kernel_fingerprint(kernel), tile_shape, _params_key(params))
     cached = _DMA_UTIL_CACHE.get(key)
     if cached is not None:
         return cached
@@ -381,7 +408,7 @@ def _generate_programs_cached(kernel: StencilKernel, cluster: SnitchCluster,
     except RegistryError as exc:
         raise RunnerError(str(exc)) from None
     key = (kernel_fingerprint(kernel), variant, backend_print, shape,
-           astuple(params), _interleave_for(cluster, machine),
+           _params_key(params), _interleave_for(cluster, machine),
            tuple(sorted((name, repr(value))
                         for name, value in codegen_kwargs.items())))
     cached = _CODEGEN_CACHE.get(key)

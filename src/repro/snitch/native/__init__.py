@@ -28,8 +28,9 @@ Architecture
 * **Eligibility prescan**: a program/cluster combination that the C core
   cannot reproduce exactly (unsupported instruction, icache capacity
   pressure requiring LRU evictions, in-flight stream or offload-queue
-  state, a DMA transfer whose rows do not resolve into TCDM/main memory)
-  falls back to the Python engine, which remains the reference
+  state, a DMA transfer whose rows do not resolve into TCDM/main memory,
+  a TCDM bank count or width that is not a power of two) falls back to
+  the Python engine, which remains the reference
   implementation.  Queued/in-flight DMA work itself is natively supported
   since ABI 2: ``engine.c`` ports the ``DmaEngine`` countdown + bulk-copy
   model, so double-buffered workloads — the steady state of multi-cluster
@@ -83,13 +84,13 @@ _SOURCE_PATH = Path(__file__).resolve().parent / "engine.c"
 
 #: Mandatory compiler flags.  -ffp-contract=off and -fno-fast-math are
 #: REQUIRED for bit-identical floating point (CPython never fuses a*b+c).
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off",
            "-fwrapv")
 
-_ABI_VERSION = 3
+_ABI_VERSION = 4
 
-#: Handshake magic stamped on every NatCluster before nat_run ("NAT3").
-_MAGIC = 0x4E415433
+#: Handshake magic stamped on every NatCluster before nat_run ("NAT4").
+_MAGIC = 0x4E415434
 
 # error codes (keep in sync with engine.c)
 _ERR_MAX_CYCLES = 1
@@ -798,7 +799,10 @@ def _cluster_eligible(cluster, max_cycles: int, watchdog: int) -> bool:
     if not all(-_PARAM_LIMIT <= value < _PARAM_LIMIT
                for value in vars(params).values() if isinstance(value, int)):
         return False
-    if not 1 <= params.tcdm_banks <= 64 or params.tcdm_bank_width < 1:
+    # The engine maps an address to its bank with a shift and a mask.
+    banks, width = params.tcdm_banks, params.tcdm_bank_width
+    if not (0 < banks <= 64 and banks & (banks - 1) == 0
+            and width > 0 and width & (width - 1) == 0):
         return False
     if not 1 <= params.ssr_fifo_depth <= 63:
         return False
@@ -985,7 +989,8 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     residents = [_pack_core(co, core, line_insts, lines)
                  for co, core in zip(ccores, cores)]
 
-    rc = lib.nat_run(cl)
+    with obs.phase("simulate.native"):
+        rc = lib.nat_run(cl)
     final_cycle = cl.cycle
 
     # Write every piece of architectural and statistical state back, so the
@@ -1061,8 +1066,6 @@ def _pack_core(co, core, line_insts: int, lines) -> bytearray:
     co.plen = plen
     co.stall_until = core._stall_until
     co.finished = core.finished
-    co.finish_cycle = (core.finish_cycle
-                       if core.finish_cycle is not None else -1)
     co.int_retired = core.int_retired
     stalls = core.stalls
     co.st_offload_full = stalls.offload_full
@@ -1128,8 +1131,10 @@ def _pack_core(co, core, line_insts: int, lines) -> bytearray:
 def _unpack_core(co, core, resident: bytearray) -> None:
     core.pc = co.pc
     core._stall_until = co.stall_until
+    if co.finished and not core.finished:
+        # Finished in this run; a negative start cycle can finish below 0.
+        core.finish_cycle = co.finish_cycle
     core.finished = bool(co.finished)
-    core.finish_cycle = co.finish_cycle if co.finish_cycle >= 0 else None
     core.int_retired = co.int_retired
     stalls = core.stalls
     stalls.offload_full = co.st_offload_full

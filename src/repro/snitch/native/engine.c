@@ -8,14 +8,16 @@
  * that results are bit-identical (verified by tests/test_golden_cycles.py and
  * the cross-engine tests in tests/test_native_engine.py).
  *
- * The "symmetry fold" is structural: all cores execute from shared decoded
- * program tables (decoded once per unique program, not once per core per
- * cycle), per-core state lives in flat structure-of-arrays records, and TCDM
- * bank arbitration for the whole cluster resolves against a single 64-bit
- * busy mask per cycle instead of a Python set.
+ * The "symmetry fold" is structural: every core executes from a decoded
+ * program table (decoded once per program object and reused across runs,
+ * not once per cycle), per-core state lives in flat structure-of-arrays
+ * records, and TCDM bank arbitration for the whole cluster resolves against
+ * a single 64-bit busy mask per cycle instead of a Python set.  Bank count
+ * and width are powers of two (anything else runs on the Python engine), so
+ * an address maps to its bank with a shift and a mask derived once per run.
  *
- * Compiled on demand by repro.snitch.native (gcc -O2 -fno-fast-math
- * -ffp-contract=off) and loaded through Python's ctypes; the ctypes
+ * Compiled on demand by repro.snitch.native (gcc -O3 -fno-fast-math
+ * -ffp-contract=off -fwrapv) and loaded through Python's ctypes; the ctypes
  * structures and prototypes are generated from the declarations between
  * the CDEF markers, so this file is the only definition of the ABI (layout
  * is additionally guarded by the nat_sizeof_* checks at load time).  Keep
@@ -97,6 +99,7 @@ typedef struct {
      * call; a mismatch returns NAT_HANDSHAKE instead of reading a struct
      * whose layout the two sides disagree about. */
     int64_t magic, abi;
+    /* num_banks and bank_width must be powers of two. */
     int64_t num_cores, num_banks, bank_width, tcdm_base, tcdm_size;
     int64_t line_insts, miss_penalty, branch_penalty;
     int64_t fpu_latency, fpu_load_latency, offload_depth, frep_max;
@@ -115,6 +118,8 @@ typedef struct {
     int64_t dma_queue_len, dma_queue_pos;
     int64_t dma_remaining, dma_bytes_moved, dma_busy_cycles, dma_completed;
     int64_t wait_for_dma;
+    /* derived by nat_run from num_banks / bank_width (caller leaves zero) */
+    int64_t bank_shift, bank_mask;
     /* outputs */
     int64_t cycle;
     int64_t icache_hits, icache_misses;
@@ -145,10 +150,10 @@ int64_t nat_sizeof_dma(void);
 #define NAT_BOUNDS      7
 #define NAT_WATCHDOG    8
 
-#define NAT_ABI_VERSION 3
+#define NAT_ABI_VERSION 4
 
 /* "NAT" + ABI digit, stamped by the Python caller before every nat_run. */
-#define NAT_MAGIC       0x4E415433ll
+#define NAT_MAGIC       0x4E415434ll
 
 /* decoded-program columns (mirrored in repro.snitch.native._decode) */
 #define NCOL 12
@@ -265,9 +270,17 @@ static inline void wreg(NatCore *co, int64_t rd, int64_t value)
         co->iregs[rd] = wrap32(value);
 }
 
+/* (addr // bank_width) % num_banks for power-of-two geometries: the
+ * arithmetic shift floors negative addresses like Python's //, and the mask
+ * is a floor modulo in two's complement. */
 static inline int64_t bank_of(const NatCluster *cl, int64_t addr)
 {
-    return floormod64(floordiv64(addr, cl->bank_width), cl->num_banks);
+    return (addr >> cl->bank_shift) & cl->bank_mask;
+}
+
+static inline int is_pow2(int64_t v)
+{
+    return v > 0 && (v & (v - 1)) == 0;
 }
 
 static inline double mem_read_f64(const NatCluster *cl, int64_t addr, int *err)
@@ -1300,8 +1313,8 @@ static int64_t nat_validate(NatCluster *cl)
 {
     int64_t i, pc, dm;
     if (cl->num_cores < 1 || cl->num_cores > 64
-            || cl->num_banks < 1 || cl->num_banks > 64
-            || cl->bank_width < 1 || cl->tcdm_size < 0
+            || !is_pow2(cl->num_banks) || cl->num_banks > 64
+            || !is_pow2(cl->bank_width) || cl->tcdm_size < 0
             || !cl->tcdm || !cl->cores
             || cl->line_insts < 1
             || cl->num_streams < 1 || cl->num_streams > 4
@@ -1366,6 +1379,12 @@ int64_t nat_run(NatCluster *cl)
     if (nat_validate(cl) != NAT_OK)
         return cl->err;
 
+    /* Power-of-two geometry (validated above): bank_width == 1 << shift. */
+    cl->bank_shift = 0;
+    while ((1ll << cl->bank_shift) != cl->bank_width)
+        cl->bank_shift += 1;
+    cl->bank_mask = cl->num_banks - 1;
+
     cycle = cl->start_cycle;
     start_cycle = cycle;
     num_cores = cl->num_cores;
@@ -1376,7 +1395,7 @@ int64_t nat_run(NatCluster *cl)
 
     for (;;) {
         uint64_t busy = 0;
-        int64_t rot;
+        int64_t idx;
         if (cycle - start_cycle > cl->max_cycles) {
             cl->cycle = cycle;
             cl->err = NAT_MAX_CYCLES;
@@ -1404,9 +1423,13 @@ int64_t nat_run(NatCluster *cl)
                     || (cl->dma_remaining == 0
                         && cl->dma_queue_pos >= cl->dma_queue_len)))
             break;
-        rot = cycle % num_cores;
+        /* Core order rotates by the floor modulo, like the Python engine's
+         * `cycle % num_cores`, so negative start cycles stay in range. */
+        idx = floormod64(cycle, num_cores);
         for (k = 0; k < num_cores; k++) {
-            NatCore *co = &cl->cores[(rot + k) % num_cores];
+            NatCore *co = &cl->cores[idx];
+            if (++idx == num_cores)
+                idx = 0;
             if (co->finished)
                 continue;
             fpu_step(cl, co, cycle, &busy);

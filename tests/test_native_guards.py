@@ -1,14 +1,18 @@
 """Native-engine defense-in-depth: handshake, watchdog, fault degradation.
 
 Covers the guard layer added around the C engine: the load-time layout
-check and build-failure reporting, the ABI handshake on every entry, the
-cycle-budget watchdog, the structured
+check and build-failure reporting, the limits that keep a run on the
+Python engine (integer ranges, bank geometry), negative start cycles, the
+ABI handshake on every entry, the cycle-budget watchdog, the structured
 :class:`~repro.snitch.native.NativeEngineError` surface, and the
 supervised-sweep policy that routes those faults to one in-band
 forced-Python retry — no pool respawn, no batch bisection.
 """
 
 import ctypes
+import json
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -22,6 +26,7 @@ from repro.sweep import ResultStore, SweepJob, run_sweep
 from repro.sweep.faults import FaultSpec, injected
 from repro.sweep.supervisor import RetryPolicy
 from tests.conftest import small_tile
+from tests.test_imports import fresh_env
 
 pytestmark = pytest.mark.skipif(
     not native.available(),
@@ -144,6 +149,117 @@ class TestIntegerLimits:
         natives = native.run_stats["native"]
         assert _outcome(params, 1_000_000)[0] == "ok"
         assert native.run_stats["native"] == natives + 1
+
+
+class TestBankGeometry:
+    """The engine maps addresses to banks with a shift and a mask, so only
+    power-of-two bank counts and widths run natively."""
+
+    @pytest.mark.parametrize("overrides", [{"tcdm_banks": 24},
+                                           {"tcdm_bank_width": 12}])
+    def test_non_power_of_two_geometry_runs_on_python(self, overrides):
+        params = TimingParams(num_cores=2, **overrides)
+        fallbacks = native.run_stats["fallback"]
+        native_side = _outcome(params, 5_000)
+        assert native.run_stats["fallback"] == fallbacks + 1
+        with native.forced_python():
+            assert _outcome(params, 5_000) == native_side
+
+    def test_engine_refuses_non_power_of_two_geometry(self, monkeypatch):
+        # Past the eligibility check, the engine's own entry validation
+        # still refuses a geometry it cannot map.
+        monkeypatch.setattr(native, "_cluster_eligible",
+                            lambda *args: True)
+        cluster = SnitchCluster(TimingParams(num_cores=2, tcdm_banks=24))
+        cluster.load_programs([assemble(_SHORT_SPIN, name=f"short{i}")
+                               for i in range(2)])
+        with pytest.raises(native.NativeEngineError) as exc_info:
+            native.execute(cluster, max_cycles=5_000)
+        assert exc_info.value.name == "handshake"
+
+
+#: Runs jacobi_2d/saris from each start cycle in ``argv[1]`` on both
+#: engines and prints what each left behind, as JSON.
+_FROM_START_CYCLE = """
+import json, sys
+import numpy as np
+from repro.core.kernels import get_kernel
+from repro.core.layout import build_layout
+from repro.runner import generate_programs
+from repro.snitch import native
+from repro.snitch.cluster import SnitchCluster
+from repro.snitch.params import TimingParams
+
+kernel, shape = get_kernel("jacobi_2d"), (12, 12)
+grids = kernel.make_grids(shape, seed=0)
+runs = []
+for start in json.loads(sys.argv[1]):
+    for engine in ("native", "python"):
+        cluster = SnitchCluster(TimingParams())
+        layout = build_layout(kernel, cluster.allocator, shape)
+        generated = generate_programs(kernel, layout, cluster, "saris")
+        for name in kernel.arrays:
+            cluster.write_grid(layout.arrays[name], grids[name])
+        cluster.tcdm.write_f64_array(layout.coeff_table,
+                                     layout.coeff_table_values())
+        for gen in generated:
+            for addr, values in gen.data:
+                if len(values):
+                    cluster.tcdm.write_bytes(addr,
+                                             np.asarray(values).tobytes())
+        cluster.load_programs([gen.program for gen in generated])
+        cluster.cycle = start
+        natives = native.run_stats["native"]
+        if engine == "python":
+            with native.forced_python():
+                cluster.run()
+        else:
+            cluster.run()
+        runs.append({"start": start, "engine": engine,
+                     "native_runs": native.run_stats["native"] - natives,
+                     "cycle": cluster.cycle,
+                     "finish": [core.finish_cycle for core in cluster.cores],
+                     "conflicts": cluster.tcdm.conflicts})
+print(json.dumps(runs))
+"""
+
+
+class TestNegativeStartCycle:
+    """The engine rotates its cores by the floor modulo of the cycle, as the
+    Python engine does; a truncating ``%`` indexed before the core array
+    for negative start cycles."""
+
+    def test_negative_start_cycles_match_python(self):
+        starts = [-1, -3, -5, -1001]
+        # A child process, so an engine crash fails this test instead of
+        # killing the pytest process.
+        proc = subprocess.run(
+            [sys.executable, "-c", _FROM_START_CYCLE, json.dumps(starts)],
+            capture_output=True, text=True, env=fresh_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        runs = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert [run["start"] for run in runs[::2]] == starts
+        for native_run, python_run in zip(runs[::2], runs[1::2]):
+            assert native_run["native_runs"] == 1
+            assert python_run["native_runs"] == 0
+            for key in ("cycle", "finish", "conflicts"):
+                assert native_run[key] == python_run[key], (
+                    native_run["start"], key)
+
+    def test_finish_below_cycle_zero_is_kept(self):
+        # An empty program finishes on its start cycle, here a negative one.
+        def finish_cycle():
+            cluster = SnitchCluster(TimingParams(num_cores=1))
+            cluster.load_programs([assemble("", name="empty")])
+            cluster.cycle = -5
+            cluster.run()
+            return cluster.cores[0].finish_cycle
+
+        natives = native.run_stats["native"]
+        assert finish_cycle() == -5
+        assert native.run_stats["native"] == natives + 1
+        with native.forced_python():
+            assert finish_cycle() == -5
 
 
 class TestHandshake:

@@ -198,6 +198,9 @@ class TestRunnerPhaseProfile:
         # The top-level phases partition run_kernel's own wall time.
         assert top == pytest.approx(wall, rel=0.10, abs=0.05)
         assert all(v >= 0.0 for v in phases.values())
+        if result.engine == "native":
+            # The C call is timed on its own, inside "simulate".
+            assert phases["simulate.native"] <= phases["simulate"]
 
     def test_phase_seconds_never_enters_metrics_hash(self):
         tile = small_tile("jacobi_2d")
