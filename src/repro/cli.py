@@ -889,7 +889,7 @@ def _machine_choices() -> List[str]:
 
 
 def _positive(kind):
-    """Argparse type for supervision flags: a ``kind`` (int or float) > 0."""
+    """Argparse type for flags that must be positive: a ``kind`` > 0."""
     def parse(text: str):
         value = kind(text)
         if not value > 0:
@@ -1116,9 +1116,9 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                           help="api key (default: $REPRO_SERVICE_TOKEN)")
     worker_p.add_argument("--id", default=None,
                           help="worker id (default: <hostname>-<pid>)")
-    worker_p.add_argument("--jobs", type=int, default=1,
-                          help="concurrent leased jobs (default: "
-                               "%(default)s)")
+    worker_p.add_argument("--jobs", type=_positive(int), default=1,
+                          help="concurrent jobs (lanes); one more grant per "
+                               "lane is held ahead (default: %(default)s)")
     worker_p.add_argument("--retries", type=_positive(int), default=None,
                           help="max attempts per job in the local "
                                "supervised ladder (default: supervisor "
@@ -1128,7 +1128,7 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                                "$REPRO_CACHE_DIR or .repro_cache)")
     worker_p.add_argument("--no-cache", action="store_true",
                           help="run without a local result store")
-    worker_p.add_argument("--poll", type=float, default=0.5,
+    worker_p.add_argument("--poll", type=_positive(float), default=0.5,
                           help="idle poll interval in seconds (default: "
                                "%(default)s)")
     worker_p.add_argument("--exit-on-idle", type=int, default=None,

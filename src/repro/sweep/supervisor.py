@@ -13,6 +13,11 @@ head job, so every failure a worker cannot report itself is charged exactly:
   attempts together, counted from when its worker could first start it.  An
   overdue worker is killed, joined and replaced the same way.
 
+Workers never outlive their parent: each one closes the parent's pipe ends
+it inherited at fork, so an idle worker reads EOF when the parent dies, and
+on Linux asks the kernel to SIGKILL it then, which also covers a worker
+stuck inside a job.
+
 Inside a worker every job runs through :func:`execute_supervised`, the
 single-job ladder the service queue and the fabric worker use too: bounded
 retry with exponential backoff for in-band exceptions, and immediate
@@ -34,6 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import sys
 import time
 import traceback as traceback_module
 from collections import deque
@@ -72,6 +78,10 @@ BACKOFF_ENV_VAR = "REPRO_SWEEP_BACKOFF"
 
 #: Jobs a pool worker holds at once: the one it runs and one waiting.
 _JOBS_PER_WORKER = 2
+
+#: ``prctl`` option that sets the signal a process gets when its parent
+#: thread dies (``<linux/prctl.h>``).
+_PR_SET_PDEATHSIG = 1
 
 
 class SweepJobError(RuntimeError):
@@ -355,11 +365,42 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
                                     native_faults=native_faults)
 
 
-def _worker_main(conn, policy: RetryPolicy) -> None:
+def _die_with_parent(parent: int) -> bool:
+    """Have the kernel SIGKILL this worker when its parent dies (Linux).
+
+    The signal fires when the thread that forked the worker exits;
+    :meth:`SupervisedPool.run` forks and joins its workers in one call, so
+    that thread outlives them.  Returns False if the parent is already gone.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        # Without prctl, or if it fails, EOF on the pipe still ends an
+        # idle worker.
+        try:
+            prctl = ctypes.CDLL(None).prctl
+        except (OSError, AttributeError):
+            pass
+        else:
+            prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+            prctl.restype = ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
+    return os.getppid() == parent  # it may have died before the prctl
+
+
+def _worker_main(conn, policy: RetryPolicy, parent: int,
+                 inherited: Sequence) -> None:
     """Pool worker body: run each job sent down ``conn``, send its outcome.
 
-    SIGINT is ignored: a Ctrl-C reaches the parent, which kills its workers.
+    ``inherited`` are the parent's pipe ends this process got at fork (its
+    own and those of the workers forked before it); closing them lets a
+    dead parent read as EOF here.  SIGINT is ignored: a Ctrl-C reaches the
+    parent, which kills its workers.
     """
+    for end in inherited:
+        end.close()
+    if not _die_with_parent(parent):
+        return
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         try:
@@ -390,10 +431,13 @@ class _Worker:
     """One worker process, the parent's end of its pipe, and the tasks sent
     down it in order (the head is the one running)."""
 
-    def __init__(self, context, policy: RetryPolicy) -> None:
+    def __init__(self, context, policy: RetryPolicy,
+                 others: Sequence["_Worker"]) -> None:
         self.conn, child_conn = context.Pipe()
-        self.process = context.Process(target=_worker_main,
-                                       args=(child_conn, policy), daemon=True)
+        inherited = [self.conn] + [other.conn for other in others]
+        self.process = context.Process(
+            target=_worker_main,
+            args=(child_conn, policy, os.getpid(), inherited), daemon=True)
         self.process.start()
         child_conn.close()  # so EOF on ``conn`` means the worker died
         self.tasks: Deque[_Task] = deque()
@@ -454,7 +498,7 @@ class SupervisedPool:
         clean = False
         try:
             for _ in range(self.workers):
-                workers.append(_Worker(self.context, self.policy))
+                workers.append(_Worker(self.context, self.policy, workers))
             while queue or any(worker.tasks for worker in workers):
                 self._dispatch(queue, workers)
                 wait([worker.conn for worker in workers if worker.tasks],
@@ -470,7 +514,8 @@ class SupervisedPool:
                     else:
                         continue
                     self._fail_head(worker, kind, queue, outcome)
-                    workers[slot] = _Worker(self.context, self.policy)
+                    workers[slot] = _Worker(self.context, self.policy,
+                                            workers)
             clean = True
         finally:
             for worker in workers:

@@ -231,6 +231,10 @@ class TestReproduceCommand:
     ["serve", "--retries", "0"],
     ["serve", "--fabric", "--lease-ttl", "0"],
     ["worker", "--retries", "0"],
+    ["worker", "--jobs", "0"],
+    ["worker", "--jobs", "-2"],
+    ["worker", "--poll", "0"],
+    ["worker", "--poll", "-0.5"],
 ])
 def test_non_positive_supervision_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

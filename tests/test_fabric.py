@@ -348,6 +348,211 @@ class TestFabricWorker:
             assert stats["adopted_results"] == 1
             assert stats["completed"] == 0  # never completed fresh
 
+    def test_first_heartbeat_follows_the_coordinator_ttl(self):
+        # The heartbeat thread starts before any lease response; it must
+        # re-arm on the coordinator's 0.5 s TTL, not sleep out 10 s / 3.
+        def slow(job):
+            time.sleep(1.5)
+            return execute_job_cached(job)
+
+        execute_job_cached(None)
+        with running_fabric(ttl=0.5) as (service, client):
+            client.submit({"jobs": [JOB_WIRE]})
+            worker = FabricWorker(service.url, worker_id="w1",
+                                  poll_seconds=0.05, runner=slow)
+            worker.run(exit_on_idle=5)
+            stats = client.fabric()
+            assert stats["expired_leases"] == 0
+            assert stats["completed"] == 1
+            assert worker.stale == 0
+
+
+def seeded_wires(count, first_seed=100):
+    """``count`` distinct jobs (one content hash per seed)."""
+    return [dict(JOB_WIRE, seed=first_seed + i) for i in range(count)]
+
+
+@contextlib.contextmanager
+def worker_thread(worker, exit_on_idle=10):
+    """Run ``worker`` in a background thread; join it on exit."""
+    thread = threading.Thread(target=worker.run,
+                              kwargs={"exit_on_idle": exit_on_idle},
+                              daemon=True)
+    thread.start()
+    try:
+        yield thread
+    finally:
+        worker.stop()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+class TestPipelinedWorker:
+    """Each lane keeps one grant waiting behind the job it runs, and one
+    uploader thread publishes completions while the lanes move on."""
+
+    def setup_method(self):
+        execute_job_cached(None)  # simulate once, before any clock starts
+
+    def test_next_job_starts_while_the_last_one_uploads(self):
+        marks = []
+
+        def runner(job):
+            marks.append(("start", job.seed, time.monotonic()))
+            result = execute_job_cached(job)
+            marks.append(("end", job.seed, time.monotonic()))
+            return result
+
+        with running_fabric() as (service, client):
+            receipt = client.submit({"jobs": seeded_wires(2)})
+            worker = FabricWorker(service.url, worker_id="w1",
+                                  poll_seconds=0.05, runner=runner)
+            complete = worker.client.complete
+
+            def slow_complete(lease_id, payload):
+                time.sleep(0.3)  # a slow coordinator
+                return complete(lease_id, payload)
+
+            worker.client.complete = slow_complete
+            worker.run(exit_on_idle=5)
+            assert client.sweep(receipt["sweep"])["state"] == "done"
+        first_end = next(t for kind, seed, t in marks
+                         if kind == "end" and seed == 100)
+        second_start = next(t for kind, seed, t in marks
+                            if kind == "start" and seed == 101)
+        assert second_start - first_end < 0.1
+        assert worker.uploaded == 2
+
+    def test_worker_holds_one_waiting_grant_per_lane(self):
+        gate, blocked = threading.Event(), threading.Event()
+
+        def runner(job):
+            if job.seed == 100:
+                blocked.set()
+                assert gate.wait(20)
+            return execute_job_cached(job)
+
+        with running_fabric() as (service, client):
+            receipt = client.submit({"jobs": seeded_wires(5)})
+            worker = FabricWorker(service.url, worker_id="w1",
+                                  poll_seconds=0.05, runner=runner)
+            with worker_thread(worker):
+                try:
+                    assert blocked.wait(15)
+                    time.sleep(0.3)  # several polls: the bound must hold
+                    in_flight = client.fabric()["leases_in_flight"]
+                    active = worker.stats()["active_leases"]
+                finally:
+                    gate.set()
+                final = client.wait(receipt["sweep"], timeout=30)
+            assert in_flight == 2 and active == 2
+            assert final["counts"]["done"] == 5
+        assert worker.uploaded == worker.executed == 5
+
+    def test_waiting_grant_is_renewed_until_it_runs(self):
+        def runner(job):
+            if job.seed == 100:
+                time.sleep(1.0)  # > 3 TTLs
+            return execute_job_cached(job)
+
+        with running_fabric(ttl=0.3) as (service, client):
+            receipt = client.submit({"jobs": seeded_wires(2)})
+            worker = FabricWorker(service.url, worker_id="w1",
+                                  poll_seconds=0.05, runner=runner)
+            worker.run(exit_on_idle=5)
+            first, second = (member["hash"] for member in receipt["jobs"])
+            events = [(e["event"], e.get("job"))
+                      for e in client.events(receipt["sweep"])]
+            # Granted ahead: the second job left the queue while the
+            # first still ran.
+            assert events.index(("running", second)) \
+                < events.index(("done", first))
+            stats = client.fabric()
+            assert stats["expired_leases"] == 0
+            assert stats["completed"] == 2
+            assert worker.stale == 0
+
+    def test_failed_upload_does_not_stop_the_uploader(self):
+        with running_fabric() as (service, client):
+            client.submit({"jobs": seeded_wires(2)})
+            worker = FabricWorker(service.url, worker_id="w1",
+                                  poll_seconds=0.05,
+                                  runner=execute_job_cached)
+            complete, calls = worker.client.complete, []
+
+            def failing_first(lease_id, payload):
+                calls.append(lease_id)
+                if len(calls) == 1:
+                    raise TypeError("payload is not JSON serializable")
+                return complete(lease_id, payload)
+
+            worker.client.complete = failing_first
+            with worker_thread(worker, exit_on_idle=5) as thread:
+                thread.join(timeout=30)
+            assert len(calls) == 2 and worker.uploaded == 1
+            assert client.fabric()["completed"] == 1
+
+    def test_stop_drains_every_held_grant(self):
+        def runner(job):
+            if job.seed == 100:
+                worker.stop()
+            return execute_job_cached(job)
+
+        with running_fabric() as (service, client):
+            client.submit({"jobs": seeded_wires(3)})
+            worker = FabricWorker(service.url, worker_id="w1",
+                                  poll_seconds=0.05, runner=runner)
+            worker.run()
+            # Running and waiting grant both finished and uploaded; the
+            # third job was never leased.
+            assert worker.uploaded == worker.executed == 2
+            stats = client.fabric()
+            assert stats["granted"] == 2 and stats["completed"] == 2
+            assert stats["expired_leases"] == 0
+            assert stats["leases_in_flight"] == 0
+
+    def test_many_lanes_lose_no_update(self):
+        # More lanes than cores and a tiny switch interval: every counter
+        # and every held lease must still add up once the worker drains.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with running_fabric() as (service, client):
+                receipt = client.submit({"jobs": seeded_wires(40)})
+                worker = FabricWorker(service.url, worker_id="w1",
+                                      capacity=4, poll_seconds=0.05,
+                                      runner=execute_job_cached)
+                with worker_thread(worker, exit_on_idle=5):
+                    final = client.wait(receipt["sweep"], timeout=60)
+                stats = client.fabric()
+        finally:
+            sys.setswitchinterval(interval)
+        assert final["counts"]["done"] == 40
+        assert stats["completed"] == stats["granted"] == 40
+        assert stats["leases_in_flight"] == 0
+        assert worker.uploaded == worker.executed == 40
+        assert worker.stats()["active_leases"] == 0
+
+    def test_freed_lane_starts_next_job_without_waiting_out_poll(self):
+        starts = []
+
+        def runner(job):
+            if job.seed == 100:
+                time.sleep(1.5)  # one lane blocked
+            else:
+                starts.append(time.monotonic())
+                time.sleep(0.05)  # outlasts the main loop's next lease
+            return execute_job_cached(job)
+
+        with running_fabric() as (service, client):
+            receipt = client.submit({"jobs": seeded_wires(6)})
+            worker = FabricWorker(service.url, worker_id="w1", capacity=2,
+                                  poll_seconds=1.0, runner=runner)
+            worker.run(exit_on_idle=1)
+            assert client.sweep(receipt["sweep"])["counts"]["done"] == 6
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
+        assert len(gaps) == 4 and max(gaps) < 0.3, gaps
+
 
 class TestFabricEndToEnd:
     def test_coordinator_restart_resubmit_is_pure_cache_hit(self, tmp_path):

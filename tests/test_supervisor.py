@@ -8,7 +8,14 @@ and flaky failures are reproduced on demand instead of hoped for.
 import collections
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +350,63 @@ class TestResume:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(job_list(), workers=2, progress=interrupt)
         assert set(multiprocessing.active_children()) <= before
+
+
+def _running(pid):
+    """True while ``pid`` runs: a zombie has died, reaped or not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux-only")
+class TestOrphans:
+    def test_workers_die_with_a_sigkilled_parent(self):
+        # One worker hangs inside a job, the other idles in recv once its
+        # job is done; the parent prints both pids and is then SIGKILLed.
+        script = textwrap.dedent("""
+            import multiprocessing
+            from repro.sweep import SweepJob, run_sweep
+
+            def report(done, total, job, source):
+                print(*sorted(p.pid for p in
+                              multiprocessing.active_children()),
+                      flush=True)
+
+            jobs = [SweepJob.make(kernel, "saris", tile_shape=(12, 12))
+                    for kernel in ("j2d5pt", "jacobi_2d")]
+            run_sweep(jobs, workers=2, on_error="collect", progress=report)
+        """)
+        repo = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        env["REPRO_FAULT_INJECT"] = "mode=hang:kernel=j2d5pt:hang_seconds=60"
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE)
+        pids = []
+        try:
+            assert select.select([parent.stdout], [], [], 60)[0]
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            parent.kill()
+            parent.wait(10)
+            deadline = time.monotonic() + 2.0
+            while (any(_running(pid) for pid in pids)
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert not [pid for pid in pids if _running(pid)]
+        finally:
+            parent.kill()
+            parent.stdout.close()
+            for pid in pids:  # a failed run must not leave workers behind
+                if _running(pid):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
 
 
 class TestStoreRobustness:
