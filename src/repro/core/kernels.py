@@ -38,10 +38,10 @@ from repro.registry import Registry
 #: Builders for every known stencil, in registration order (built-ins first).
 KERNEL_REGISTRY: Registry[Callable[[], StencilKernel]] = Registry("kernel")
 
-#: Memoized content fingerprints per registered name, so hot paths (sweep-job
-#: hashing consults the fingerprint several times per job) skip rebuilding
-#: the kernel IR.  Invalidated whenever the name is (re-/un-)registered.
-_NAME_FINGERPRINTS: Dict[str, tuple] = {}
+#: The kernel built per registered name, so hot paths (every
+#: ``run_kernel(name)``, sweep-job hashing) skip rebuilding the kernel IR.
+#: Invalidated whenever the name is (re-/un-)registered.
+_REGISTERED_KERNELS: Dict[str, StencilKernel] = {}
 
 
 def register_kernel(name: Optional[str] = None, *, replace: bool = False):
@@ -65,7 +65,7 @@ def register_kernel(name: Optional[str] = None, *, replace: bool = False):
             if entry_name.startswith("build_"):
                 entry_name = entry_name[len("build_"):]
         KERNEL_REGISTRY.register(entry_name, fn, replace=replace)
-        _NAME_FINGERPRINTS.pop(entry_name, None)
+        _REGISTERED_KERNELS.pop(entry_name, None)
         return fn
 
     if callable(name):
@@ -77,7 +77,7 @@ def register_kernel(name: Optional[str] = None, *, replace: bool = False):
 
 def unregister_kernel(name: str) -> Callable[[], StencilKernel]:
     """Remove a registered kernel (mainly for tests of plug-in stencils)."""
-    _NAME_FINGERPRINTS.pop(name, None)
+    _REGISTERED_KERNELS.pop(name, None)
     return KERNEL_REGISTRY.unregister(name)
 
 
@@ -103,15 +103,17 @@ def kernel_fingerprint(kernel: StencilKernel) -> tuple:
     return fingerprint
 
 
-def registered_fingerprint(name: str) -> tuple:
-    """Content fingerprint of the kernel registered under ``name``, memoized
-    per name (``get_kernel`` builds a fresh instance per call, so the
-    per-object cache alone would rebuild the IR on every lookup)."""
-    fingerprint = _NAME_FINGERPRINTS.get(name)
-    if fingerprint is None:
-        fingerprint = _NAME_FINGERPRINTS[name] = kernel_fingerprint(
-            get_kernel(name))
-    return fingerprint
+def registered_kernel(name: str) -> StencilKernel:
+    """The kernel registered under ``name``, built once per registration.
+
+    Unlike :func:`get_kernel`, every call returns the same instance, shared
+    by every caller and thread: treat it as read-only (its fingerprint
+    stamp, see :func:`kernel_fingerprint`, is the one write it takes).
+    """
+    kernel = _REGISTERED_KERNELS.get(name)
+    if kernel is None:
+        kernel = _REGISTERED_KERNELS[name] = get_kernel(name)
+    return kernel
 
 
 def _coeff_value(index: int) -> float:

@@ -106,7 +106,6 @@ def run_case(case: FuzzCase, force_python: bool = False) -> CaseResult:
     from repro.snitch import native
 
     cluster = _build_cluster(case)
-    before = native.run_stats["native"]
     error = None
     try:
         if force_python:
@@ -121,9 +120,7 @@ def run_case(case: FuzzCase, force_python: bool = False) -> CaseResult:
         raise
     except Exception as exc:  # noqa: BLE001 - model errors are comparable
         error = f"{type(exc).__name__}: {exc}"
-    engine_used = ("native"
-                   if native.run_stats["native"] > before else "python")
-    return CaseResult(state=snapshot(cluster), engine_used=engine_used,
+    return CaseResult(state=snapshot(cluster), engine_used=cluster.engine,
                       error=error)
 
 

@@ -28,11 +28,7 @@ import numpy as np
 from repro import obs
 from repro.core import progcache
 from repro.core.codegen_common import GeneratedProgram, planning_scope
-from repro.core.kernels import (
-    get_kernel,
-    kernel_fingerprint,
-    registered_fingerprint,
-)
+from repro.core.kernels import kernel_fingerprint, registered_kernel
 from repro.fingerprint import callable_fingerprint
 from repro.core.layout import TileLayout, build_layout
 from repro.core.parallel import cluster_geometry, default_interleave
@@ -287,11 +283,7 @@ class VariantComparison:
 def _resolve_kernel(kernel: Union[str, StencilKernel]) -> StencilKernel:
     if isinstance(kernel, StencilKernel):
         return kernel
-    resolved = get_kernel(kernel)
-    # The registry memoizes the fingerprint per name; stamping it on the
-    # fresh instance spares every run a walk of the kernel IR.
-    resolved._codegen_fingerprint = registered_fingerprint(kernel)
-    return resolved
+    return registered_kernel(kernel)
 
 
 def _params_key(params: TimingParams) -> tuple:
@@ -524,14 +516,8 @@ def run_kernel(kernel: Union[str, StencilKernel], variant: str = "saris",
                         cluster.tcdm.write_bytes(addr, arr.tobytes())
 
             cluster.load_programs([gen.program for gen in generated])
-        from repro.snitch import native as _native
-
         with obs.span("simulate", kernel=kernel.name, variant=variant):
-            native_runs_before = _native.run_stats["native"]
             result = cluster.run(max_cycles=max_cycles)
-        engine_used = ("native"
-                       if _native.run_stats["native"] > native_runs_before
-                       else "python")
 
         correct = True
         max_err = 0.0
@@ -574,7 +560,7 @@ def run_kernel(kernel: Union[str, StencilKernel], variant: str = "saris",
         cluster=result,
         activity=result.activity(),
         program_info=[gen.info for gen in generated],
-        engine=engine_used,
+        engine=cluster.engine,
         phase_seconds={k: round(v, 6) for k, v in phases.items()},
     )
 

@@ -65,7 +65,15 @@ class SnitchCluster:
         self.dma = DmaEngine([self.tcdm, self.main_memory], self.params)
         self.allocator = TcdmAllocator(self.tcdm)
         self._main_alloc_next = self.main_memory.base
-        self.cores: List[SnitchCore] = []
+        self._programs: List[Program] = []
+        #: Built on first access of :attr:`cores`.
+        self._cores: Optional[List[SnitchCore]] = None
+        #: Core state a native run left in the engine's records while the
+        #: cores were never built; :attr:`cores` builds them from it.
+        self._native_records = None
+        #: Which engine carried the last :meth:`run`: ``"native"`` or
+        #: ``"python"`` (``None`` before the first run).
+        self.engine: Optional[str] = None
         self.cycle = 0
 
     # -- memory management -------------------------------------------------------
@@ -98,23 +106,43 @@ class SnitchCluster:
     # -- program loading / execution -------------------------------------------------
 
     def load_programs(self, programs: Sequence[Program]) -> None:
-        """Create one core per program (up to the cluster's core count)."""
+        """Give each core one program (up to the cluster's core count)."""
         if len(programs) > self.params.num_cores:
             raise ClusterError(
                 f"{len(programs)} programs for a {self.params.num_cores}-core cluster"
             )
-        self.cores = [
-            SnitchCore(hart_id, program, self.tcdm, self.icache, self.params)
-            for hart_id, program in enumerate(programs)
-        ]
+        self._programs = list(programs)
+        self._cores = None
+        self._native_records = None
+
+    @property
+    def cores(self) -> List[SnitchCore]:
+        """One core per loaded program, built on first access.
+
+        A native run on a cluster whose cores were never built keeps their
+        state in the engine's records; the first access then builds the
+        cores from those, in the state the Python engine would have left.
+        """
+        cores = self._cores
+        if cores is None:
+            cores = self._cores = [
+                SnitchCore(hart_id, program, self.tcdm, self.icache, self.params)
+                for hart_id, program in enumerate(self._programs)
+            ]
+            records, self._native_records = self._native_records, None
+            if records is not None:
+                _native.unpack_cores(records, cores)
+        return cores
 
     def run(self, max_cycles: int = 5_000_000, wait_for_dma: bool = True) -> ClusterResult:
         """Run until every core (and optionally the DMA engine) has finished."""
-        if not self.cores:
+        if not self._programs:
             raise ClusterError("no programs loaded")
         # Symmetry-folded native engine: bit-identical to the loop below
         # (tests/test_native_engine.py), used whenever this configuration is
-        # eligible; returns None to fall back to the Python engine.
+        # eligible; returns None to fall back to the Python engine.  It
+        # marks the runs it carries in ``engine``.
+        self.engine = "python"
         final_cycle = _native.execute(self, max_cycles, wait_for_dma)
         if final_cycle is not None:
             start_cycle = self.cycle
@@ -280,7 +308,7 @@ class SnitchCluster:
         before the returned cycle, so the clock may jump there.
         """
         wake = None
-        for core in self.cores:
+        for core in self._cores:
             if core.finished:
                 continue
             fpu = core.fpu
@@ -314,7 +342,7 @@ class SnitchCluster:
         the total cycle advance when the run loop exits.
         """
         skipped = wake - cycle
-        for core in self.cores:
+        for core in self._cores:
             if not core.finished:
                 core.fpu.stats.idle_empty += skipped
         dma = self.dma
@@ -325,13 +353,18 @@ class SnitchCluster:
         return wake
 
     def _collect_result(self, start_cycle: int) -> ClusterResult:
+        if self._cores is None:
+            # A native run on cores that were never built: the statistics
+            # are still in the engine's records.
+            return self._result(start_cycle, _native.core_stats(
+                self._native_records, start_cycle, self.cycle))
         core_stats = []
-        for core in self.cores:
+        for core in self._cores:
             # Settle the deferred granted-request counts into the TCDM totals
             # before reading them (see the ssr/fpu module docstrings).
             core.fpu.flush_tcdm_stats()
             core.ssr.flush_tcdm_stats()
-        for core in self.cores:
+        for core in self._cores:
             finish = core.finish_cycle if core.finish_cycle is not None else self.cycle
             core_stats.append(CoreStats(
                 hart_id=core.hart_id,
@@ -348,6 +381,9 @@ class SnitchCluster:
                     "mem": core.fpu.stats.stall_mem,
                 },
             ))
+        return self._result(start_cycle, core_stats)
+
+    def _result(self, start_cycle: int, core_stats: List[CoreStats]) -> ClusterResult:
         return ClusterResult(
             cycles=self.cycle - start_cycle,
             cores=core_stats,

@@ -790,8 +790,8 @@ _CYCLE_LIMIT = 1 << 62
 
 def _cluster_eligible(cluster, max_cycles: int, watchdog: int) -> bool:
     params = cluster.params
-    cores = cluster.cores
-    if not cores or len(cores) > 64:
+    programs = cluster._programs
+    if not programs or len(programs) > 64:
         return False
     if not all(-_CYCLE_LIMIT <= cycles < _CYCLE_LIMIT
                for cycles in (cluster.cycle, max_cycles, watchdog)):
@@ -820,10 +820,15 @@ def _cluster_eligible(cluster, max_cycles: int, watchdog: int) -> bool:
     # (same precondition the Python fast path computes).
     line_insts = params.icache_line_insts
     lines = cluster.icache._lines
-    needed = sum((core._plen + line_insts - 1) // line_insts
-                 for core in cores)
+    needed = sum((len(program) + line_insts - 1) // line_insts
+                 for program in programs)
     if len(lines) + needed > params.icache_lines:
         return False
+    cores = cluster._cores
+    if cores is None:
+        # Never-built cores are fresh: nothing in flight to check.
+        return all(decode_program(program, params) is not None
+                   for program in programs)
     for core in cores:
         fpu = core.fpu
         if fpu._current is not None or fpu._queue:
@@ -884,10 +889,17 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     """Run ``cluster`` natively; returns the final cycle or ``None``.
 
     ``None`` means the configuration is not native-eligible and the caller
-    must use the Python engine.  On success the cluster's cores, movers,
-    memories and statistics are updated exactly as the Python engine would
-    have left them; the caller still settles ``tcdm.cycles`` and
-    ``cluster.cycle`` from the returned value (mirroring the Python path).
+    must use the Python engine.  Otherwise the run sets
+    ``cluster.engine = "native"``, and afterwards (on success and on the
+    ``max_cycles``, ``mem_range`` and ``ssr_misuse`` faults) the cluster's
+    memories, icache, DMA engine and statistics are exactly as the Python
+    engine would have left them, and so is ``cluster.cores``.  Cores that
+    were built before the run are updated in place.  Cores that were never
+    built are packed from a fresh-core template and stay in the engine's
+    records: ``cluster.cores`` builds them from those on first access, and
+    the cluster reads its per-core statistics straight from the records.
+    The caller still settles ``tcdm.cycles`` and ``cluster.cycle`` from the
+    returned value (mirroring the Python path).
 
     ``watchdog`` (or ``REPRO_NATIVE_WATCHDOG``) sets a hard cycle ceiling
     independent of ``max_cycles``; exceeding it raises
@@ -899,22 +911,26 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
         return None
     layout, lib = _load_engine()
     watchdog = _watchdog_cycles(watchdog)
+    # None: never built, so fresh.  Cores still in an earlier native run's
+    # records are built first, so this run packs their state.
+    cores = (cluster.cores if cluster._native_records is not None
+             else cluster._cores)
     if lib is None or not _cluster_eligible(cluster, max_cycles, watchdog):
         run_stats["fallback"] += 1
         _OBS_FALLBACK_RUNS.inc()
         return None
     run_stats["native"] += 1
     _OBS_NATIVE_RUNS.inc()
+    cluster.engine = "native"
 
     params = cluster.params
-    cores = cluster.cores
-    num_cores = len(cores)
+    programs = cluster._programs
+    num_cores = len(programs)
     line_insts = params.icache_line_insts
 
     # Buffers assigned to pointer fields stay referenced by the structs
     # (ctypes keeps them in ``_objects``) for as long as ``cl`` lives.
     cl = layout.NatCluster()
-    ccores = (layout.NatCore * num_cores)()
 
     cl.magic = _MAGIC
     cl.abi = _ABI_VERSION
@@ -937,7 +953,6 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     cl.start_cycle = cluster.cycle
     cl.max_cycles = max_cycles
     cl.tcdm = _bytes_view(cluster.tcdm._data)
-    cl.cores = ccores
 
     # Cluster DMA engine: ship the queued transfer descriptors and the busy
     # countdown; the C loop runs the same countdown + bulk-copy model.
@@ -978,25 +993,33 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
     cl.tcdm_granted = cluster.tcdm.granted_requests
     cl.tcdm_conflicts = cluster.tcdm.conflicts
 
-    miss_cap = sum((core._plen + line_insts - 1) // line_insts
-                   for core in cores) + 8
+    miss_cap = sum((len(program) + line_insts - 1) // line_insts
+                   for program in programs) + 8
     miss_log = (ctypes.c_int64 * miss_cap)()
     cl.miss_log = miss_log
     cl.miss_log_cap = miss_cap
     cl.miss_log_len = 0
 
     lines = cluster.icache._lines
-    residents = [_pack_core(co, core, line_insts, lines)
-                 for co, core in zip(ccores, cores)]
+    if cores is None:
+        ccores, residents = _pack_fresh(layout, cluster, line_insts, lines)
+    else:
+        ccores = (layout.NatCore * num_cores)()
+        residents = [_pack_core(co, core, line_insts, lines)
+                     for co, core in zip(ccores, cores)]
+    cl.cores = ccores
 
     with obs.phase("simulate.native"):
         rc = lib.nat_run(cl)
     final_cycle = cl.cycle
 
     # Write every piece of architectural and statistical state back, so the
-    # Python objects are indistinguishable from a Python-engine run.
-    for co, core, resident in zip(ccores, cores, residents):
-        _unpack_core(co, core, resident)
+    # cluster is indistinguishable from a Python-engine run.  Never-built
+    # cores keep theirs in the records until ``cluster.cores`` is read.
+    if cores is None:
+        cluster._native_records = (ccores, residents)
+    else:
+        unpack_cores((ccores, residents), cores)
     cluster.icache.hits = cl.icache_hits
     cluster.icache.misses = cl.icache_misses
     for line in miss_log[:cl.miss_log_len]:
@@ -1016,8 +1039,10 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
         if corruption_active():
             # Mutation self-test: a one-bit lie in the architectural state,
             # exactly what a real native-engine bug would look like.  The
-            # fuzz harness must flag and shrink it.
-            cores[0].int_retired += 1
+            # fuzz harness must flag and shrink it.  Reading
+            # ``cluster.cores`` builds them, so the result is collected
+            # from the cores.
+            cluster.cores[0].int_retired += 1
         return final_cycle
     # Error paths.  For faults with a Python-engine counterpart (plus the
     # watchdog, which fires mid-run with a meaningful cycle count) settle
@@ -1061,9 +1086,7 @@ def _bytes_view(buffer) -> ctypes.Array:
 def _pack_core(co, core, line_insts: int, lines) -> bytearray:
     """Fill one NatCore record from a SnitchCore; returns the residency
     buffer the engine updates in place."""
-    plen = core._plen
     co.pc = core.pc
-    co.plen = plen
     co.stall_until = core._stall_until
     co.finished = core.finished
     co.int_retired = core.int_retired
@@ -1116,16 +1139,116 @@ def _pack_core(co, core, line_insts: int, lines) -> bytearray:
         cm.denied_data = mover._denied_data
         cm.denied_idx = mover._denied_idx
 
-    table = decode_program(core.program, core.params)
-    co.prog = (ctypes.c_int64 * table.size).from_buffer(table)
     resident = bytearray(core._resident) or bytearray(1)
+    _attach_program(co, core.hart_id, core.program, core.params, resident,
+                    line_insts, lines)
+    return resident
+
+
+def _attach_program(co, hart_id: int, program, params, resident: bytearray,
+                    line_insts: int, lines) -> None:
+    """Set the five record fields that depend on the hart and its program
+    rather than on core state: ``plen``, ``hart_id``, the decoded program,
+    the per-pc residency memo and the per-line icache presence."""
+    plen = len(program)
+    co.plen = plen
+    co.hart_id = hart_id
+    table = decode_program(program, params)
+    co.prog = (ctypes.c_int64 * table.size).from_buffer(table)
     co.resident = _bytes_view(resident)
     nlines = max((plen + line_insts - 1) // line_insts, 1)
-    base_key = core.hart_id * _HART_SHIFT
+    base_key = hart_id * _HART_SHIFT
     co.line_present = _bytes_view(bytearray(
         base_key + line in lines for line in range(nlines)))
-    co.hart_id = core.hart_id
-    return resident
+
+
+#: One fresh core's record per timing-parameter set, as bytes, with its
+#: pointer fields cleared.
+_TEMPLATES: Dict[tuple, bytes] = {}
+_TEMPLATE_LIMIT = 64
+
+
+def _fresh_template(layout, cluster) -> bytes:
+    """The record :func:`_pack_core` makes from a fresh core on ``cluster``.
+
+    Made once per timing-parameter set: a fresh core's state depends on
+    the parameters (mover count and capabilities, index size) and not on
+    its program, except for the fields :func:`_attach_program` sets.
+    """
+    params = cluster.params
+    key = tuple(vars(params).values())
+    template = _TEMPLATES.get(key)
+    if template is None:
+        from repro.snitch.core import SnitchCore
+
+        co = layout.NatCore()
+        _pack_core(co, SnitchCore(0, cluster._programs[0], cluster.tcdm,
+                                  cluster.icache, params),
+                   params.icache_line_insts, ())
+        co.prog = co.resident = co.line_present = None
+        template = bytes(co)
+        if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+            _TEMPLATES.clear()
+        _TEMPLATES[key] = template
+    return template
+
+
+def _pack_fresh(layout, cluster, line_insts: int, lines):
+    """Records for cores that were never built, and their residency
+    buffers: one copy of the fresh-core template per program, with the
+    fields :func:`_attach_program` sets filled in."""
+    programs = cluster._programs
+    template = _fresh_template(layout, cluster)
+    ccores = (layout.NatCore * len(programs)).from_buffer_copy(
+        template * len(programs))
+    residents = []
+    for hart_id, (co, program) in enumerate(zip(ccores, programs)):
+        resident = bytearray(len(program)) or bytearray(1)
+        _attach_program(co, hart_id, program, cluster.params, resident,
+                        line_insts, lines)
+        residents.append(resident)
+    return ccores, residents
+
+
+def unpack_cores(records, cores) -> None:
+    """Write a native run's ``(records, residency buffers)`` into ``cores``."""
+    ccores, residents = records
+    for co, core, resident in zip(ccores, cores, residents):
+        _unpack_core(co, core, resident)
+
+
+def core_stats(records, start_cycle: int, end_cycle: int) -> list:
+    """Per-core statistics of a native run, read from its records; equal to
+    what ``SnitchCluster`` collects from cores after a Python-engine run."""
+    from repro.snitch.trace import CoreStats
+
+    stats = []
+    for co in records[0]:
+        compute = co.issued_compute
+        stats.append(CoreStats(
+            hart_id=co.hart_id,
+            cycles=(co.finish_cycle if co.finished else end_cycle) - start_cycle,
+            int_retired=co.int_retired,
+            fp_issued=compute + co.issued_mem + co.issued_move,
+            fp_compute=compute,
+            flops=co.flops,
+            stalls={
+                "offload_full": co.st_offload_full,
+                "ssr_launch": co.st_ssr_launch,
+                "barrier": co.st_barrier,
+                "icache": co.st_icache,
+                "branch": co.st_branch,
+                "lsu_conflict": co.st_lsu_conflict,
+                "div": co.st_div,
+            },
+            fpu_stalls={
+                "ssr_read": co.stall_ssr_read,
+                "ssr_write": co.stall_ssr_write,
+                "raw": co.stall_raw,
+                "mem": co.stall_mem,
+            },
+        ))
+    return stats
 
 
 def _unpack_core(co, core, resident: bytearray) -> None:

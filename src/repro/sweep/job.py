@@ -117,12 +117,13 @@ class SweepJob:
         where the store's repro-source fingerprint cannot see it) can never
         be served stale cached results.
         """
-        from repro.core.kernels import registered_fingerprint
+        from repro.core.kernels import kernel_fingerprint, registered_kernel
 
         machine = self.canonical_machine()
         return {
             "kernel": self.kernel,
-            "kernel_fingerprint": repr(registered_fingerprint(self.kernel)),
+            "kernel_fingerprint": repr(kernel_fingerprint(
+                registered_kernel(self.kernel))),
             "variant": self.variant,
             "tile_shape": list(self.tile_shape) if self.tile_shape else None,
             "params": list(astuple(self.params)) if self.params is not None else None,

@@ -26,8 +26,12 @@ from repro.core.kernels import (
     all_kernels,
     box_offsets,
     get_kernel,
+    kernel_fingerprint,
+    register_kernel,
+    registered_kernel,
     star_offsets,
     table1_kernels,
+    unregister_kernel,
 )
 from repro.core.reference import reference_sweep, reference_time_step
 from repro.core.stencil import KernelError, StencilKernel
@@ -128,6 +132,56 @@ class TestKernelRegistry:
     def test_characteristics_dict(self):
         row = get_kernel("jacobi_2d").characteristics()
         assert row["code"] == "jacobi_2d" and row["flops"] == 5
+
+
+class TestRegisteredKernelMemo:
+    """``run_kernel(name)`` builds the named kernel once per registration."""
+
+    def test_one_instance_per_registration(self):
+        from repro.runner import _resolve_kernel
+
+        memo = _resolve_kernel("jacobi_2d")
+        assert _resolve_kernel("jacobi_2d") is memo
+        assert registered_kernel("jacobi_2d") is memo
+        first, second = get_kernel("jacobi_2d"), get_kernel("jacobi_2d")
+        assert first is not second
+        assert memo is not first and memo is not second
+        assert first == second == memo
+
+    def test_reregistration_reaches_run_kernel(self):
+        from repro.runner import run_kernel
+
+        def register(expr, coefficients):
+            @register_kernel("test_memo_2d", replace=True)
+            def build():
+                return StencilKernel(name="test_memo_2d", dims=2, radius=1,
+                                     inputs=["inp"], output="out", expr=expr,
+                                     coefficients=coefficients)
+
+        west, east = GridRef("inp", (0, -1)), GridRef("inp", (0, 1))
+        register(mul(Coeff("c"), add(west, east)), {"c": 0.25})
+        try:
+            first = run_kernel("test_memo_2d", "saris", tile_shape=(10, 10))
+            old = registered_kernel("test_memo_2d")
+            register(add(mul(Coeff("cw"), west), mul(Coeff("ce"), east)),
+                     {"cw": 0.25, "ce": 0.75})
+            new = registered_kernel("test_memo_2d")
+            assert new.coefficients == {"cw": 0.25, "ce": 0.75}
+            assert kernel_fingerprint(new) != kernel_fingerprint(old)
+            second = run_kernel("test_memo_2d", "saris", tile_shape=(10, 10))
+            assert second.correct
+            assert second.metrics_hash() != first.metrics_hash()
+        finally:
+            unregister_kernel("test_memo_2d")
+        with pytest.raises(KeyError):
+            run_kernel("test_memo_2d", "saris", tile_shape=(10, 10))
+
+    def test_runs_leave_the_memoized_kernel_unchanged(self):
+        from repro.runner import run_kernel
+
+        for variant in ("base", "saris"):
+            run_kernel("j2d5pt", variant, tile_shape=small_tile("j2d5pt"))
+        assert registered_kernel("j2d5pt") == get_kernel("j2d5pt")
 
 
 class TestKernelValidation:

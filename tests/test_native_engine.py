@@ -10,10 +10,14 @@ workloads, and exercise the fallback / error paths.
 import numpy as np
 import pytest
 
+from repro.core.kernels import TABLE1_KERNELS, get_kernel
+from repro.core.layout import build_layout
 from repro.isa.assembler import assemble
-from repro.runner import run_kernel
+from repro.machine import resolve_machine
+from repro.runner import _generate_programs_cached, generate_programs, run_kernel
 from repro.snitch import native
 from repro.snitch.cluster import ClusterError, SnitchCluster
+from repro.snitch.core import SnitchCore
 from repro.snitch.params import TimingParams
 
 pytestmark = pytest.mark.skipif(
@@ -396,3 +400,117 @@ class TestNativeBehaviour:
         cluster.run()
         assert cluster.tcdm.read_i32(cluster.tcdm.base) == 42
         assert cluster.cores[0].int_regs.read(7) == 42
+
+
+def _kernel_cluster(name, variant, shape):
+    """A cluster loaded with one kernel's programs and input grids; its
+    cores are never built."""
+    kernel = get_kernel(name)
+    cluster = SnitchCluster(TimingParams())
+    layout = build_layout(kernel, cluster.allocator, shape)
+    generated = generate_programs(kernel, layout, cluster, variant)
+    grids = kernel.make_grids(shape, seed=0)
+    for array in kernel.arrays:
+        cluster.write_grid(layout.arrays[array], grids[array])
+    cluster.tcdm.write_f64_array(layout.coeff_table,
+                                 layout.coeff_table_values())
+    for gen in generated:
+        for addr, values in gen.data:
+            if len(values):
+                cluster.tcdm.write_bytes(addr, np.asarray(values).tobytes())
+    cluster.load_programs([gen.program for gen in generated])
+    return cluster
+
+
+class TestUntouchedCores:
+    """A native run on cores that were never built keeps their state in the
+    engine's records: no Python core is built unless ``cluster.cores`` is
+    read, and reading it shows what the Python engine leaves."""
+
+    @pytest.mark.parametrize("kernel,variant,tile", [
+        ("jacobi_2d", "saris", (12, 12)), ("j3d27pt", "base", (8, 8, 8)),
+    ])
+    def test_warm_run_builds_no_python_cores(self, monkeypatch, kernel,
+                                             variant, tile):
+        run_kernel(kernel, variant=variant, tile_shape=tile)  # warm up
+        counts = {"cores": 0, "unpacked": 0}
+        real_init, real_unpack = SnitchCore.__init__, native._unpack_core
+
+        def counting_init(self, *args, **kwargs):
+            counts["cores"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_unpack(*args):
+            counts["unpacked"] += 1
+            real_unpack(*args)
+
+        monkeypatch.setattr(SnitchCore, "__init__", counting_init)
+        monkeypatch.setattr(native, "_unpack_core", counting_unpack)
+        result = run_kernel(kernel, variant=variant, tile_shape=tile, seed=1)
+        assert counts == {"cores": 0, "unpacked": 0}
+        assert result.engine == "native"
+        with native.forced_python():
+            expected = run_kernel(kernel, variant=variant, tile_shape=tile,
+                                  seed=1)
+        assert result.metrics_hash() == expected.metrics_hash()
+        assert result.cluster.cores == expected.cluster.cores
+
+    @pytest.mark.parametrize("kernel,variant,tile", [
+        ("jacobi_2d", "saris", (12, 12)), ("box3d1r", "base", (8, 8, 8)),
+    ])
+    @pytest.mark.parametrize("max_cycles", [5_000_000, 400])
+    def test_cores_read_after_the_run_match_python(self, kernel, variant,
+                                                   tile, max_cycles):
+        # 400 cycles stops both kernels mid-run, streams and offload
+        # queues in flight.
+        states = []
+        for force_python in (False, True):
+            cluster = _kernel_cluster(kernel, variant, tile)
+            try:
+                if force_python:
+                    with native.forced_python():
+                        cluster.run(max_cycles=max_cycles)
+                else:
+                    cluster.run(max_cycles=max_cycles)
+                    assert cluster._cores is None
+            except ClusterError:
+                assert max_cycles == 400
+            assert cluster.engine == ("python" if force_python else "native")
+            states.append(_cluster_state(cluster))
+        assert states[0] == states[1]
+
+    def test_template_records_match_pack_core(self):
+        # The template path sets five fields per record and copies the
+        # rest; every other field must be what _pack_core makes of a fresh
+        # core, on every Table-1 program set.
+        layout, _ = native._load_engine()
+        pointers = [getattr(layout.NatCore, field)
+                    for field in ("prog", "resident", "line_present")]
+
+        def without_pointers(record):
+            data = bytearray(bytes(record))
+            for field in pointers:
+                data[field.offset:field.offset + field.size] = \
+                    bytes(field.size)
+            return bytes(data)
+
+        params = TimingParams()
+        machine = resolve_machine(None)
+        line_insts = params.icache_line_insts
+        for name in TABLE1_KERNELS:
+            kernel = get_kernel(name)
+            for variant in ("base", "saris"):
+                cluster = SnitchCluster(params)
+                _, generated = _generate_programs_cached(
+                    kernel, cluster, variant, kernel.default_tile, params,
+                    machine, {})
+                cluster.load_programs([gen.program for gen in generated])
+                lines = cluster.icache._lines
+                records, _ = native._pack_fresh(layout, cluster, line_insts,
+                                                lines)
+                for core, record in zip(cluster.cores, records):
+                    packed = layout.NatCore()
+                    native._pack_core(packed, core, line_insts, lines)
+                    assert without_pointers(record) == \
+                        without_pointers(packed), (name, variant,
+                                                   core.hart_id)

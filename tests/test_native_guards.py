@@ -446,3 +446,88 @@ class TestDegradedIdentity:
         assert degraded.degraded == ["jacobi_2d/saris"]
         assert (degraded.results[0].metrics_hash()
                 == clean.metrics_hash())
+
+
+class TestConcurrentLanes:
+    """``repro serve`` and ``repro worker --jobs N`` run jobs on threads."""
+
+    def test_fallback_run_beside_a_native_lane_reads_python(self):
+        # ``KernelRunResult.engine`` names the engine that carried that
+        # run, not whichever engine last ran in the process.
+        import threading
+        from dataclasses import replace
+
+        lane_engines = []
+        started, stop = threading.Event(), threading.Event()
+
+        def native_lane():
+            while not stop.is_set():
+                lane_engines.append(run_kernel(
+                    "jacobi_2d", "saris",
+                    tile_shape=small_tile("jacobi_2d")).engine)
+                started.set()
+
+        # A 24-bank TCDM is not native-eligible: the Python engine.
+        params = replace(TimingParams(), tcdm_banks=24)
+        lane = threading.Thread(target=native_lane)
+        lane.start()
+        try:
+            assert started.wait(60)
+            runs_before = len(lane_engines)
+            engines = [run_kernel("jacobi_2d", "saris", params=params,
+                                  tile_shape=(26, 26)).engine
+                       for _ in range(4)]
+            runs_during = len(lane_engines) - runs_before
+        finally:
+            stop.set()
+            lane.join(60)
+        assert not lane.is_alive()
+        assert runs_during > 0, "the native lane must overlap the runs"
+        assert set(lane_engines) == {"native"}
+        assert engines == ["python"] * 4
+
+    def test_lanes_fill_the_shared_memos_safely(self, monkeypatch):
+        import sys
+        import threading
+
+        from repro.core import kernels
+
+        cases = [("jacobi_2d", "saris", TimingParams()),
+                 ("j2d5pt", "base", TimingParams()),
+                 ("jacobi_2d", "base", TimingParams(fpu_latency=4)),
+                 ("box3d1r", "saris", TimingParams(fpu_latency=4))]
+        expected = [run_kernel(name, variant, params=params,
+                               tile_shape=small_tile(name)).metrics_hash()
+                    for name, variant, params in cases]
+        # Empty kernel and record-template memos: the lanes race to fill them.
+        monkeypatch.setattr(native, "_TEMPLATES", {})
+        monkeypatch.setattr(kernels, "_REGISTERED_KERNELS", {})
+        runs, errors = [], []
+
+        def lane(offset):
+            try:
+                for step in range(6):
+                    index = (offset + step) % len(cases)
+                    name, variant, params = cases[index]
+                    result = run_kernel(name, variant, params=params,
+                                        tile_shape=small_tile(name))
+                    runs.append((index, result.metrics_hash(), result.engine))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            lanes = [threading.Thread(target=lane, args=(offset,))
+                     for offset in range(4)]
+            for thread in lanes:
+                thread.start()
+            for thread in lanes:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in lanes)
+        assert errors == []
+        assert len(runs) == 24
+        assert all(digest == expected[index] and engine == "native"
+                   for index, digest, engine in runs)
