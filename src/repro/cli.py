@@ -579,7 +579,10 @@ def _cmd_serve(args) -> int:
               f"({mode}, "
               f"store={store.root if store is not None else 'disabled'}, "
               f"auth={'on' if service.token else 'off'})", flush=True)
-        await service.serve_forever()
+        try:
+            await service.serve_forever()
+        finally:
+            await service.close()  # ends the pool's workers, also mid-job
 
     try:
         asyncio.run(main())
@@ -597,7 +600,6 @@ def _cmd_worker(args) -> int:
     from repro.service import configured_url
     from repro.service.client import ServiceError
     from repro.service.worker import FabricWorker
-    from repro.sweep.faults import FABRIC_WORKER_ENV_VAR
     from repro.sweep.store import ResultStore
     from repro.sweep.supervisor import RetryPolicy
 
@@ -606,9 +608,6 @@ def _cmd_worker(args) -> int:
         print("worker: no coordinator configured — pass --url or set "
               "$REPRO_SERVICE_URL", file=sys.stderr)
         return 2
-    # Mark this process as a fabric worker so injected worker_kill faults
-    # may genuinely take it down (parents degrade to an in-band raise).
-    os.environ.setdefault(FABRIC_WORKER_ENV_VAR, "1")
     retry = RetryPolicy.resolve(None, None)
     if args.retries is not None:
         retry = dataclasses.replace(retry, max_attempts=int(args.retries))
@@ -1081,8 +1080,9 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                          help="bind port; 0 picks an ephemeral one "
                               "(default: 8751)")
     serve_p.add_argument("--workers", type=int, default=None,
-                         help="concurrent simulations (default: cpu-bound "
-                              "heuristic)")
+                         help="worker processes, one simulation each at a "
+                              "time (default: $REPRO_SWEEP_WORKERS or the "
+                              "CPU count)")
     serve_p.add_argument("--retries", type=_positive(int), default=None,
                          help="max attempts per job before it is reported "
                               "failed (default: supervisor policy)")
@@ -1117,8 +1117,9 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
     worker_p.add_argument("--id", default=None,
                           help="worker id (default: <hostname>-<pid>)")
     worker_p.add_argument("--jobs", type=_positive(int), default=1,
-                          help="concurrent jobs (lanes); one more grant per "
-                               "lane is held ahead (default: %(default)s)")
+                          help="pool worker processes, one simulation each "
+                               "at a time; one more grant per process is "
+                               "held ahead (default: %(default)s)")
     worker_p.add_argument("--retries", type=_positive(int), default=None,
                           help="max attempts per job in the local "
                                "supervised ladder (default: supervisor "
@@ -1159,8 +1160,8 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                           help="follow the event stream until the sweep "
                                "finishes")
     submit_p.add_argument("--workers", type=int, default=None,
-                          help="in-process fallback only: concurrent "
-                               "simulations")
+                          help="in-process fallback only: worker "
+                               "processes")
     submit_p.add_argument("--cache-dir", default=None,
                           help="in-process fallback only: result store "
                                "directory")

@@ -6,7 +6,8 @@ thin transport:
 * :mod:`repro.service.queue` — the async job-queue core (submit / status /
   result / stream / cancel over content-hashed jobs, with store-dedupe on
   submit, in-flight coalescing, bounded concurrency and per-job progress
-  events);
+  events); local dispatch runs jobs on the supervised process pool of
+  :mod:`repro.sweep.supervisor`;
 * :mod:`repro.service.spec` — wire formats: JSON job lists and Experiment
   specs -> normalized :class:`~repro.sweep.job.SweepJob` lists;
 * :mod:`repro.service.server` — the long-running HTTP daemon (stdlib
@@ -16,10 +17,10 @@ thin transport:
   ``repro submit`` / ``repro watch``;
 * :mod:`repro.service.fabric` — the lease-based coordinator core of the
   distributed sweep fabric (``repro serve --fabric``): grants with TTLs,
-  heartbeat renewal, a reaper that requeues expired leases as suspects
-  that run solo;
+  heartbeat renewal, and a reaper that treats an expired lease as node
+  death and requeues its jobs uncharged, up to a bound;
 * :mod:`repro.service.worker` — the pull-side ``repro worker`` loop:
-  lease, execute supervised, publish, heartbeat.
+  lease, execute on the same supervised process pool, publish, heartbeat.
 
 The CLI and the daemon drive the *same* queue core: ``repro submit``
 without a configured server falls back to an in-process queue and the
@@ -40,7 +41,6 @@ from repro.service.queue import (
     RUNNING,
     TERMINAL_STATES,
     JobEntry,
-    JobExecutionError,
     JobQueue,
     QueueError,
     SweepEntry,
@@ -72,7 +72,6 @@ __all__ = [
     "FabricError",
     "FabricWorker",
     "JobEntry",
-    "JobExecutionError",
     "JobQueue",
     "QUEUED",
     "QueueError",

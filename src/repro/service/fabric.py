@@ -9,26 +9,20 @@ falls off the network simply stops renewing; the reaper notices the expired
 lease and puts the job back in play.  No worker is ever trusted to report
 its own death.
 
-A worker may hold several leases at once, so an expired lease cannot say
-which of its jobs (if any) killed the node.  The fabric therefore keeps its
-own suspect model (a local :class:`~repro.sweep.supervisor.SupervisedPool`
-worker runs one job at a time and needs none):
+A worker runs its jobs on a :class:`~repro.sweep.supervisor.SupervisedPool`,
+which charges a crash or a timeout to the one job that caused it, and
+uploads every such failure as that job's own.  A lease expiry therefore
+means node death only (``kill -9``, the OOM killer, a lost machine or
+network), never a verdict on the job:
 
-* A lease expiring on a **fresh** job is *not* charged as an attempt — the
-  worker may have died for an unrelated reason (its other lease's job
-  segfaulted the process, the OOM killer, a ``kill -9``).  The job is
-  requeued as a **suspect**.
-* A suspect job is only ever granted **solo** — to a worker holding zero
-  other leases — so a second death is definitively attributable.  A lease
-  expiring on a suspect job *is* charged; after
-  :attr:`~repro.sweep.supervisor.RetryPolicy.max_attempts` charges the job
-  fails terminally with ``kind="lease_expired"``.
-* A suspect that completes successfully is exonerated.
-
-When a worker's lease expires the coordinator treats the whole node as
-dead and expires every lease it holds at once — its *other* jobs requeue
-as suspects without charges (the innocent-sibling protection that keeps
-one dying node from poisoning unrelated work).
+* When a worker's lease expires the coordinator treats the whole node as
+  dead and expires every lease it holds at once.
+* Every expired lease requeues its job **uncharged**, behind the jobs
+  already waiting.
+* A job whose leases keep expiring — nodes keep dying under it — fails
+  with ``kind="lease_expired"`` on its ``max_attempts + 1``-th expiry
+  (:attr:`~repro.sweep.supervisor.RetryPolicy.max_attempts` of the
+  queue's policy), so it cannot circulate forever.
 
 Completion is publish-to-store: an uploaded result is saved to the
 coordinator's :class:`~repro.sweep.store.ResultStore` before the job is
@@ -52,19 +46,16 @@ import itertools
 import secrets
 import time
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
-
-from collections import deque
+from typing import Dict, List, Optional, Set
 
 from repro import obs
 from repro.runner import KernelRunResult
-from repro.service.queue import DONE, FAILED, QUEUED, RUNNING, JobQueue
+from repro.service.queue import QUEUED, RUNNING, JobQueue
 from repro.service.spec import job_to_wire
 
-#: Fabric metrics.  The ``repro_queue_*`` lookups resolve to the same
-#: instruments the queue module registered (get-or-create by name): a
-#: fabric-executed job moves the same executed/failed/latency series a
-#: locally executed one does.
+#: Fabric metrics.  A fabric-executed job moves the same ``repro_queue_*``
+#: executed/failed/latency series a locally executed one does: the
+#: coordinator starts and finishes jobs through the queue.
 _OBS_LEASES_GRANTED = obs.counter("repro_fabric_leases_granted_total",
                                   "Leases granted to workers")
 _OBS_LEASE_RENEWALS = obs.counter("repro_fabric_lease_renewals_total",
@@ -85,10 +76,6 @@ _OBS_LIVE_WORKERS = obs.gauge("repro_fabric_live_workers",
                               "Workers holding leases or seen recently")
 _OBS_LEASES_IN_FLIGHT = obs.gauge("repro_fabric_leases_in_flight",
                                   "Leases currently held by workers")
-_OBS_Q_EXECUTED = obs.counter("repro_queue_executed_total")
-_OBS_Q_FAILED = obs.counter("repro_queue_failed_total")
-_OBS_Q_WAIT_SECONDS = obs.histogram("repro_queue_wait_seconds")
-_OBS_Q_EXEC_SECONDS = obs.histogram("repro_queue_exec_seconds")
 
 #: Default lease TTL in seconds: long enough that a heartbeat every TTL/3
 #: survives scheduling jitter, short enough that a dead node's work is back
@@ -111,8 +98,7 @@ class Lease:
     job_hash: str
     worker: str
     ttl: float
-    attempt: int
-    suspect: bool
+    attempt: int               # 1 + the job's expired leases so far
     granted_at: float          # wall clock, for reporting
     deadline: float            # monotonic, for expiry
     renewals: int = 0
@@ -142,14 +128,6 @@ class WorkerInfo:
         }
 
 
-@dataclass
-class _JobState:
-    """Fabric-side per-hash supervision state (attempt charges, suspicion)."""
-
-    attempt: int = 1
-    suspect: bool = False
-
-
 class FabricCoordinator:
     """Grants leases over a ``dispatch="fabric"`` :class:`JobQueue`.
 
@@ -158,8 +136,7 @@ class FabricCoordinator:
     called on the queue's event loop (the HTTP server guarantees this).
     """
 
-    def __init__(self, queue: JobQueue, ttl: Optional[float] = None,
-                 max_attempts: Optional[int] = None) -> None:
+    def __init__(self, queue: JobQueue, ttl: Optional[float] = None) -> None:
         if queue.dispatch != "fabric":
             raise FabricError("the coordinator needs a JobQueue created "
                               "with dispatch='fabric' (local worker lanes "
@@ -168,13 +145,11 @@ class FabricCoordinator:
         self.ttl = float(ttl) if ttl is not None else DEFAULT_LEASE_TTL
         if self.ttl <= 0:
             raise FabricError(f"lease ttl must be positive, got {self.ttl}")
-        resolved = queue._retry.resolve()
-        self.max_attempts = int(max_attempts if max_attempts is not None
-                                else resolved.max_attempts)
+        self.max_attempts = queue._retry.max_attempts
         self.leases: Dict[str, Lease] = {}
         self.workers: Dict[str, WorkerInfo] = {}
-        self._states: Dict[str, _JobState] = {}
-        self._requeue: Deque[str] = deque()
+        #: Expired leases per job hash, until the job terminates.
+        self._expiries: Dict[str, int] = {}
         self._lease_seq = itertools.count(1)
         self._reaper: Optional[asyncio.Task] = None
         self.started_at = time.time()
@@ -215,13 +190,8 @@ class FabricCoordinator:
 
     def grant(self, worker_id: str, capacity: int = 1
               ) -> List[Dict[str, object]]:
-        """Lease up to ``capacity`` jobs to ``worker_id``.
-
-        Fresh jobs come first, in submission order.  A suspect job is only
-        granted alone, to a worker holding no other lease, so that a crash
-        while it runs is attributable to it.  A worker already holding a
-        suspect lease gets nothing until that lease resolves.
-        """
+        """Lease up to ``capacity`` queued jobs to ``worker_id``, in queue
+        order (a requeued job waits behind the jobs queued before it)."""
         if not worker_id or not isinstance(worker_id, str):
             raise FabricError("a lease request needs a 'worker' id string")
         now = time.time()
@@ -230,23 +200,16 @@ class FabricCoordinator:
             worker = self.workers[worker_id] = WorkerInfo(
                 id=worker_id, first_seen=now, last_seen=now)
         worker.last_seen = now
-        if any(lease.suspect for lease in
-               (self.leases[lid] for lid in worker.leases)):
-            return []  # quarantine: the suspect must finish solo
         grants: List[Dict[str, object]] = []
         for _ in range(max(1, int(capacity))):
-            job_hash = self._next_fresh()
+            job_hash = self._next_queued()
             if job_hash is None:
                 break
             grants.append(self._lease_out(job_hash, worker))
-        if not grants and not worker.leases:
-            job_hash = self._next_suspect()
-            if job_hash is not None:
-                grants.append(self._lease_out(job_hash, worker))
         return grants
 
-    def _next_fresh(self) -> Optional[str]:
-        """Pop the next grantable fresh hash from the queue's pending FIFO."""
+    def _next_queued(self) -> Optional[str]:
+        """Pop the next grantable hash from the queue's pending FIFO."""
         pending = self.queue._pending
         if pending is None:
             return None
@@ -258,43 +221,28 @@ class FabricCoordinator:
             entry = self.queue._jobs.get(job_hash)
             if entry is not None and entry.state == QUEUED:
                 return job_hash
-            # cancelled or superseded while pending: skip, like _worker does
-
-    def _next_suspect(self) -> Optional[str]:
-        while self._requeue:
-            job_hash = self._requeue.popleft()
-            entry = self.queue._jobs.get(job_hash)
-            if entry is not None and entry.state == QUEUED:
-                return job_hash
-        return None
+            # cancelled, adopted or superseded while pending: skip
 
     def _lease_out(self, job_hash: str,
                    worker: WorkerInfo) -> Dict[str, object]:
         entry = self.queue._jobs[job_hash]
-        state = self._states.setdefault(job_hash, _JobState())
         lease = Lease(
             id=f"l{next(self._lease_seq):04d}-{secrets.token_hex(3)}",
             job_hash=job_hash, worker=worker.id, ttl=self.ttl,
-            attempt=state.attempt, suspect=state.suspect,
+            attempt=self._expiries.get(job_hash, 0) + 1,
             granted_at=time.time(),
             deadline=time.monotonic() + self.ttl)
         self.leases[lease.id] = lease
         worker.leases.add(lease.id)
         self.granted += 1
         _OBS_LEASES_GRANTED.inc()
-        entry.state = RUNNING
-        entry.started_at = lease.granted_at
-        entry.started_mono = time.monotonic()
-        _OBS_Q_WAIT_SECONDS.observe(entry.started_mono
-                                    - entry.submitted_mono)
-        self.queue._emit(entry, "running", worker=worker.id, lease=lease.id,
-                         attempt=state.attempt, suspect=state.suspect)
+        self.queue._begin(entry, worker=worker.id, lease=lease.id,
+                          attempt=lease.attempt)
         grant = {
             "lease": lease.id,
             "hash": job_hash,
             "ttl": self.ttl,
-            "attempt": state.attempt,
-            "suspect": state.suspect,
+            "attempt": lease.attempt,
             "label": entry.job.label,
             "job": job_to_wire(entry.job),
         }
@@ -349,37 +297,27 @@ class FabricCoordinator:
         if entry is None or entry.state != RUNNING:
             return self._complete_stale(lease_id, payload, result)
         if ok:
-            self._finish_entry(entry, result, payload)
+            self._publish(entry, result, payload)
             self.completed += 1
             _OBS_COMPLETED.inc()
             if worker is not None:
                 worker.completed += 1
         else:
-            # The worker already ran the full supervised retry ladder
-            # locally (backoff, degradation); an uploaded failure is final.
+            # The worker's pool already ran the full supervised ladder
+            # (retries, crash and timeout recovery, degradation); an
+            # uploaded failure is final.
             failure = payload.get("failure")
             failure = dict(failure) if isinstance(failure, dict) else {
                 "kind": "exception", "message": "worker reported failure"}
             failure.setdefault("kind", "exception")
             failure["worker"] = lease.worker
-            entry.state = FAILED
-            entry.finished_at = time.time()
-            entry.finished_mono = time.monotonic()
-            entry.error = failure
-            entry.attempts = int(failure.get("attempts", lease.attempt))
-            self.queue.failed += 1
-            _OBS_Q_FAILED.inc()
+            self.queue._conclude(entry, error=failure, attempts=int(
+                failure.get("attempts", lease.attempt)))
             self.remote_failures += 1
             _OBS_REMOTE_FAILURES.inc()
             if worker is not None:
                 worker.failed += 1
-            if entry.started_mono is not None:
-                _OBS_Q_EXEC_SECONDS.observe(entry.finished_mono
-                                            - entry.started_mono)
-            self.queue._emit_terminal(entry)
-            self.queue._record_job_span(entry)
-        self._states.pop(lease.job_hash, None)
-        self.queue._maybe_finish_sweeps([lease.job_hash])
+        self._expiries.pop(lease.job_hash, None)
         return {"ok": True, "stale": False}
 
     def _parse_result(self, payload: Dict[str, object]) -> KernelRunResult:
@@ -399,19 +337,18 @@ class FabricCoordinator:
         entry = (self.queue._jobs.get(job_hash)
                  if isinstance(job_hash, str) else None)
         if result is not None and entry is not None:
-            if self.queue.store is not None:
+            if entry.state == QUEUED:
+                # Reaped and requeued but not re-granted yet: adopt the
+                # result instead of simulating it again (the pending FIFO
+                # skips the hash once it is done).
+                self._publish(entry, result, payload)
+                self.adopted_results += 1
+                _OBS_ADOPTED.inc()
+                self._expiries.pop(entry.hash, None)
+            elif self.queue.store is not None:
                 # Content-addressed and deterministic: publishing a stale
                 # result is always safe, and future submits hit the store.
                 self.queue.store.save(entry.job, result)
-            if entry.state == QUEUED:
-                # Reaped and requeued but not re-granted yet: adopt the
-                # result instead of simulating it again.
-                self._drop_from_requeue(entry.hash)
-                self._finish_entry(entry, result, payload)
-                self.adopted_results += 1
-                _OBS_ADOPTED.inc()
-                self._states.pop(entry.hash, None)
-                self.queue._maybe_finish_sweeps([entry.hash])
         return {"ok": True, "stale": True, "lease": lease_id}
 
     def _stitch_spans(self, payload: Dict[str, object]) -> None:
@@ -426,31 +363,14 @@ class FabricCoordinator:
         for trace_id, group in by_trace.items():
             self.queue.add_remote_spans(trace_id, group)
 
-    def _drop_from_requeue(self, job_hash: str) -> None:
-        try:
-            self._requeue.remove(job_hash)
-        except ValueError:
-            pass
-
-    def _finish_entry(self, entry, result: KernelRunResult,
-                      payload: Dict[str, object]) -> None:
-        """Publish + mark done + fan out, in that order (crash-safe)."""
+    def _publish(self, entry, result: KernelRunResult,
+                 payload: Dict[str, object]) -> None:
+        """Publish to the store, then mark done and fan out (crash-safe)."""
         if self.queue.store is not None:
             self.queue.store.save(entry.job, result)
-        entry.attempts = int(payload.get("attempts", 1))
-        entry.degraded = bool(payload.get("degraded", False))
-        entry.state = DONE
-        entry.source = "executed"
-        entry.result = result
-        entry.finished_at = time.time()
-        entry.finished_mono = time.monotonic()
-        self.queue.executed += 1
-        _OBS_Q_EXECUTED.inc()
-        if entry.started_mono is not None:
-            _OBS_Q_EXEC_SECONDS.observe(entry.finished_mono
-                                        - entry.started_mono)
-        self.queue._emit_terminal(entry)
-        self.queue._record_job_span(entry)
+        self.queue._conclude(entry, result=result,
+                             attempts=int(payload.get("attempts", 1)),
+                             degraded=bool(payload.get("degraded", False)))
 
     # -- expiry -------------------------------------------------------------
 
@@ -465,7 +385,7 @@ class FabricCoordinator:
 
         A node that lets *one* lease lapse is treated as dead wholesale:
         every lease it holds is expired together, so its other jobs requeue
-        as uncharged suspects instead of waiting out their own TTLs.
+        at once instead of waiting out their own TTLs.
         """
         now = time.monotonic() if now is None else now
         dead_workers = {lease.worker for lease in self.leases.values()
@@ -486,45 +406,34 @@ class FabricCoordinator:
         return len(victims)
 
     def _requeue_expired(self, lease: Lease) -> None:
+        """Requeue the job of an expired lease, uncharged — or fail it
+        once its leases have expired ``max_attempts + 1`` times."""
         entry = self.queue._jobs.get(lease.job_hash)
         if entry is None or entry.state != RUNNING:
             return  # adopted or cancelled while leased
-        state = self._states.setdefault(lease.job_hash, _JobState())
-        if lease.suspect:
-            # The job ran strictly solo: this death is attributable.
-            state.attempt += 1
-            if state.attempt > self.max_attempts:
-                entry.state = FAILED
-                entry.finished_at = time.time()
-                entry.attempts = state.attempt - 1
-                entry.error = {
-                    "kind": "lease_expired",
-                    "error_type": "LeaseExpired",
-                    "message": (f"lease expired {state.attempt - 1} times "
-                                f"(ttl={lease.ttl}s, last worker "
-                                f"{lease.worker!r}); job killed its worker "
-                                f"or the node kept dying"),
-                    "attempts": state.attempt - 1,
-                    "worker": lease.worker,
-                }
-                entry.finished_mono = time.monotonic()
-                self.queue.failed += 1
-                _OBS_Q_FAILED.inc()
-                self.queue._emit_terminal(entry)
-                self.queue._record_job_span(entry)
-                self._states.pop(lease.job_hash, None)
-                self.queue._maybe_finish_sweeps([lease.job_hash])
-                return
-        state.suspect = True
+        expiries = self._expiries.get(lease.job_hash, 0) + 1
+        self._expiries[lease.job_hash] = expiries
+        if expiries > self.max_attempts:
+            self._expiries.pop(lease.job_hash, None)
+            self.queue._conclude(entry, attempts=expiries, error={
+                "kind": "lease_expired",
+                "error_type": "LeaseExpired",
+                "message": (f"lease expired {expiries} times (ttl="
+                            f"{lease.ttl}s, last worker {lease.worker!r}); "
+                            f"the nodes running this job kept dying"),
+                "attempts": expiries,
+                "worker": lease.worker,
+            })
+            return
         entry.state = QUEUED
         entry.started_at = None
         entry.started_mono = None
-        self._requeue.append(lease.job_hash)
+        self.queue._pending.put_nowait(lease.job_hash)
         self.requeues += 1
         _OBS_REQUEUES.inc()
         self.queue._emit(entry, "requeued", worker=lease.worker,
                          lease=lease.id, reason="lease_expired",
-                         attempt=state.attempt, suspect=True)
+                         attempt=lease.attempt)
 
     # -- health -------------------------------------------------------------
 
@@ -548,7 +457,6 @@ class FabricCoordinator:
                                            key=lambda w: w.id)],
             },
             "leases_in_flight": len(self.leases),
-            "suspects_queued": len(self._requeue),
             "granted": self.granted,
             "completed": self.completed,
             "remote_failures": self.remote_failures,

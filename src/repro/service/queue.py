@@ -13,14 +13,14 @@ memoization layer:
   it is queued or running share one execution; the result fans out to every
   subscriber.  A million users asking for Table-1 variants cost one
   simulation per unique hash.
-* **Bounded concurrency** — at most ``workers`` jobs execute at once, each
-  in a worker thread through the same single-job supervised core
-  (:func:`~repro.sweep.supervisor.execute_supervised`: bounded retry with
-  backoff, degradation to the forced Python engine on native guard faults)
-  that the sweep engine's serial path uses.  The native engine releases the
-  GIL during its C run loop, so threads genuinely overlap on multi-core
-  machines; CPU-heavy deployments can front several daemon processes with
-  a shared store — the advisory-locked atomic publish makes that safe.
+* **Bounded concurrency** — at most ``workers`` jobs execute at once, on
+  the worker processes of a :class:`~repro.sweep.supervisor.SupervisedPool`
+  that parallel sweeps use too: bounded retry with backoff, degradation to
+  the forced Python engine on native guard faults, and a crash or an
+  overrun ``REPRO_SWEEP_TIMEOUT`` charged to its own job, whose pool
+  worker is replaced while the daemon keeps serving.  Several daemon
+  processes can share one store — the advisory-locked atomic publish
+  makes that safe.
 * **Per-job progress events** — every job emits an ordered event stream
   (``submitted`` → ``running`` → ``progress`` → ``done`` /
   ``failed`` / ``cancelled``) that is appended to the event log of every
@@ -34,8 +34,8 @@ live — exactly the contract SSE resumption wants.
 
 The queue is single-loop asyncio: every public method must be called from
 the event loop that :meth:`JobQueue.start` ran on.  Simulation work happens
-in a thread pool; completion events hop back onto the loop via
-``call_soon_threadsafe``.
+in the pool's worker processes; each outcome comes back to the loop through
+the job's future.
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ import asyncio
 import itertools
 import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (AsyncIterator, Callable, Dict, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (AsyncIterator, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro import obs
 from repro.runner import KernelRunResult
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore
-from repro.sweep.supervisor import RetryPolicy, execute_supervised
+from repro.sweep.supervisor import RetryPolicy, SupervisedPool
 
 #: Queue metrics: lifetime counters twinning the instance attributes (so
 #: they scrape from ``GET /v1/metrics``), plus the two end-to-end latency
@@ -239,25 +238,25 @@ def _metrics_summary(result: KernelRunResult) -> Dict[str, object]:
 class JobQueue:
     """Multi-tenant async front door over the sweep/store machinery.
 
-    ``runner`` is the blocking per-job execution function (called in a
-    worker thread); it defaults to the supervised single-job core and is
-    pluggable so tests can drive queue semantics without simulating.  A
-    runner receives ``(job, report)`` where ``report(phase, **detail)`` may
-    be called from the thread to emit ``progress`` events.
+    ``pool`` executes the jobs of local dispatch: anything with the
+    :class:`~repro.sweep.supervisor.SupervisedPool` interface
+    (``submit(job, trace) -> Future[SingleJobOutcome]`` and ``close()``).
+    By default :meth:`start` creates a pool of ``workers`` processes under
+    the ``retry`` policy; :meth:`close` closes whichever pool the queue
+    holds.
     """
 
     def __init__(self, store: Optional[ResultStore] = None,
                  workers: int = 2,
-                 runner: Optional[Callable[..., KernelRunResult]] = None,
                  retry: Optional[RetryPolicy] = None,
-                 dispatch: str = "local") -> None:
+                 dispatch: str = "local",
+                 pool: Optional[SupervisedPool] = None) -> None:
         if dispatch not in ("local", "fabric"):
             raise QueueError(f"dispatch must be 'local' or 'fabric', "
                              f"got {dispatch!r}")
         self.store = store
         self.dispatch = dispatch
         self.workers = max(1, int(workers))
-        self._runner = runner
         self._retry = retry if retry is not None else RetryPolicy()
         self._jobs: Dict[str, JobEntry] = {}
         self._sweeps: Dict[str, SweepEntry] = {}
@@ -267,7 +266,7 @@ class JobQueue:
         self._pending: Optional[asyncio.Queue] = None
         self._wake: Optional[asyncio.Event] = None
         self._tasks: List[asyncio.Task] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool = pool
         self._closed = False
         #: Reverse index for stitching worker-uploaded spans: trace id ->
         #: sweep id (one trace per sweep).
@@ -297,8 +296,8 @@ class JobQueue:
         self._pending = asyncio.Queue()
         self._wake = asyncio.Event()
         if self.dispatch == "local":
-            self._pool = ThreadPoolExecutor(max_workers=self.workers,
-                                            thread_name_prefix="repro-job")
+            if self._pool is None:
+                self._pool = SupervisedPool(self.workers, self._retry)
             self._tasks = [self._loop.create_task(self._worker())
                            for _ in range(self.workers)]
         _OBS_PENDING.set_function(
@@ -307,7 +306,7 @@ class JobQueue:
         return self
 
     async def close(self) -> None:
-        """Stop the workers; running simulations finish in their threads."""
+        """Stop the lanes and end the pool's workers, also mid-job."""
         self._closed = True
         for task in self._tasks:
             task.cancel()
@@ -315,7 +314,7 @@ class JobQueue:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool.close()
         # Wake any subscriber still waiting so it can observe closure.
         if self._wake is not None:
             self._wake.set()
@@ -585,96 +584,73 @@ class JobQueue:
     # -- internals ----------------------------------------------------------
 
     async def _worker(self) -> None:
-        """One bounded-concurrency lane: pop hashes, execute in a thread."""
+        """One bounded-concurrency lane: pop hashes, execute on the pool."""
         while True:
             job_hash = await self._pending.get()
             entry = self._jobs.get(job_hash)
             if entry is None or entry.state != QUEUED:
                 continue  # cancelled (or superseded) while waiting
-            entry.state = RUNNING
-            entry.started_at = time.time()
-            entry.started_mono = time.monotonic()
-            _OBS_WAIT_SECONDS.observe(entry.started_mono
-                                      - entry.submitted_mono)
-            self._emit(entry, "running")
-            loop = self._loop
-
-            def report(phase: str, _entry: JobEntry = entry,
-                       **detail: object) -> None:
-                loop.call_soon_threadsafe(
-                    self._emit, _entry, "progress",
-                    dict(detail, phase=phase))
-
+            self._begin(entry)
+            # The pool runs the job under an attempt span parented to the
+            # job's submit span, so locally executed jobs trace exactly
+            # like fabric ones; the spans come back with the outcome.
+            outcome = await asyncio.wrap_future(
+                self._pool.submit(entry.job, entry.trace))
+            for detail in outcome.progress:
+                self._emit(entry, "progress", detail)
+            if outcome.failure is not None:
+                self._conclude(entry, error=outcome.failure.to_dict(),
+                               attempts=outcome.attempts)
+                continue
+            self._emit(entry, "progress", phase="simulated", elapsed=round(
+                time.monotonic() - entry.started_mono, 4))
             try:
-                result, attempts, degraded = await loop.run_in_executor(
-                    self._pool, self._run_job, entry.job, report,
-                    entry.trace)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - recorded, fanned out
-                entry.state = FAILED
-                entry.finished_at = time.time()
-                entry.finished_mono = time.monotonic()
-                entry.error = getattr(exc, "failure_payload", None) or {
-                    "kind": "exception",
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                }
-                entry.attempts = int(entry.error.get("attempts", 1))
-                self.failed += 1
-                _OBS_FAILED.inc()
-                self._emit_terminal(entry)
+                if self.store is not None:
+                    self.store.save(entry.job, outcome.result)
+            except Exception as exc:  # noqa: BLE001 - fails the job
+                self._conclude(entry, error={
+                    "kind": "exception", "error_type": type(exc).__name__,
+                    "message": str(exc)}, attempts=outcome.attempts)
             else:
-                entry.attempts = attempts
-                entry.degraded = degraded
-                entry.state = DONE
-                entry.source = "executed"
-                entry.result = result
-                entry.finished_at = time.time()
-                entry.finished_mono = time.monotonic()
-                self.executed += 1
-                _OBS_EXECUTED.inc()
-                self._emit_terminal(entry)
-            if entry.started_mono is not None:
-                _OBS_EXEC_SECONDS.observe(entry.finished_mono
-                                          - entry.started_mono)
-            self._record_job_span(entry)
-            self._maybe_finish_sweeps([entry.hash])
+                self._conclude(entry, result=outcome.result,
+                               attempts=outcome.attempts,
+                               degraded=outcome.degraded)
 
-    def _run_job(self, job: SweepJob, report: Callable[..., None],
-                 trace: Optional[obs.TraceContext] = None
-                 ) -> Tuple[KernelRunResult, int, bool]:
-        """Blocking per-job execution (worker thread).
+    def _begin(self, entry: JobEntry, **detail: object) -> None:
+        """Mark a queued job running (locally or under a fabric lease)."""
+        entry.state = RUNNING
+        entry.started_at = time.time()
+        entry.started_mono = time.monotonic()
+        _OBS_WAIT_SECONDS.observe(entry.started_mono - entry.submitted_mono)
+        self._emit(entry, "running", **detail)
 
-        The default path is the shared supervised single-job core; a custom
-        ``runner`` replaces just the execution, keeping store persistence
-        and progress phases here.  Persisting from the worker thread keeps
-        file I/O off the event loop; the store's save is thread-safe.
-
-        The attempt span parents to the job's submit span, so locally
-        executed jobs trace exactly like fabric ones (minus the process
-        hop); ``run_kernel``'s stage spans nest under it via the ambient
-        context of this worker thread.
-        """
-        start = time.perf_counter()
-        with obs.span("attempt", parent=trace, job=job.label,
-                      kernel=job.kernel, variant=job.variant):
-            if self._runner is not None:
-                result = self._runner(job, report)
-                attempts, degraded = 1, False
-            else:
-                outcome = execute_supervised(job, self._retry, report=report)
-                if outcome.failure is not None:
-                    error = JobExecutionError(outcome.failure.message)
-                    error.failure_payload = dict(outcome.failure.to_dict(),
-                                                 kind=outcome.failure.kind)
-                    raise error from outcome.exception
-                result = outcome.result
-                attempts, degraded = outcome.attempts, outcome.degraded
-        report("simulated", elapsed=round(time.perf_counter() - start, 4))
-        if self.store is not None:
-            self.store.save(job, result)
-        return result, attempts, degraded
+    def _conclude(self, entry: JobEntry,
+                  result: Optional[KernelRunResult] = None,
+                  error: Optional[Dict[str, object]] = None,
+                  attempts: int = 1, degraded: bool = False) -> None:
+        """Finish a running job: ``done`` with ``result``, or ``failed``
+        with ``error``; then fan out its terminal event."""
+        entry.attempts = attempts
+        entry.finished_at = time.time()
+        entry.finished_mono = time.monotonic()
+        if error is None:
+            entry.state = DONE
+            entry.source = "executed"
+            entry.result = result
+            entry.degraded = degraded
+            self.executed += 1
+            _OBS_EXECUTED.inc()
+        else:
+            entry.state = FAILED
+            entry.error = error
+            self.failed += 1
+            _OBS_FAILED.inc()
+        if entry.started_mono is not None:  # None: adopted while requeued
+            _OBS_EXEC_SECONDS.observe(entry.finished_mono
+                                      - entry.started_mono)
+        self._emit_terminal(entry)
+        self._record_job_span(entry)
+        self._maybe_finish_sweeps([entry.hash])
 
     def _emit(self, entry: JobEntry, event: str,
               detail: Optional[Dict[str, object]] = None,
@@ -775,9 +751,3 @@ class JobQueue:
                         dur=max(0.0, finished - entry.submitted_at),
                         job=entry.hash, label=entry.job.label,
                         state=entry.state, source=entry.source)
-
-
-class JobExecutionError(RuntimeError):
-    """A queue job failed for good; ``failure_payload`` has the details."""
-
-    failure_payload: Optional[Dict[str, object]] = None

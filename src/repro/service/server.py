@@ -177,6 +177,12 @@ class ReproService:
             pass
         finally:
             try:
+                # Shut the socket down, not just this process's fd: a pool
+                # worker forked meanwhile holds a copy of it.
+                writer.write_eof()
+            except OSError:
+                pass
+            try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, BrokenPipeError):

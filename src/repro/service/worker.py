@@ -4,24 +4,25 @@ The pull side of :mod:`repro.service.fabric`.  A worker is deliberately
 stateless from the coordinator's point of view — it owns nothing but the
 leases it is currently heartbeating:
 
-* **Pull loop** — the worker runs ``capacity`` lanes (threads) and holds
-  one granted job waiting per lane beside the jobs they run, so a lane that
-  finishes a job starts the next one at once instead of waiting out a
-  coordinator round trip; whichever lane frees first takes the waiting
-  grant.  ``POST /v1/fabric/lease`` tops the worker up to two grants per
-  lane, and the main loop wakes as soon as any lane finishes.  Grants
-  carry the wire job spec, a lease id and the TTL.  Each grant executes
-  through the same supervised single-job core
-  (:func:`~repro.sweep.supervisor.execute_supervised`) the local queue
-  uses: bounded retry with backoff, degradation to the Python engine on
-  native guard faults.  In-band failures are resolved *here* and uploaded
-  as final — the coordinator's lease machinery only supervises the
+* **Pull loop** — the worker runs its jobs on a
+  :class:`~repro.sweep.supervisor.SupervisedPool` of ``capacity``
+  processes, the execution core parallel sweeps and ``repro serve`` use
+  too.  It holds two grants per pool worker, the job it runs and one
+  waiting in its pipe, so a pool worker that finishes a job starts the
+  next one at once instead of waiting out a coordinator round trip.
+  ``POST /v1/fabric/lease`` tops the worker up to that bound, and the main
+  loop wakes as soon as any job finishes.  Grants carry the wire job spec,
+  a lease id and the TTL.  The pool supervises each job: bounded retry
+  with backoff, degradation to the Python engine on native guard faults,
+  and a crash or an overrun ``REPRO_SWEEP_TIMEOUT`` charged to that job
+  alone.  Every failure is resolved *here* and uploaded as the job's own,
+  final failure — the coordinator's lease machinery only supervises the
   failure mode workers cannot report: their own death.
-* **Upload behind** — a lane hands its finished payload to one uploader
-  thread and moves on; the uploader publishes completions in FIFO order.
-  Its backlog holds at most ``capacity`` payloads, so a slow coordinator
-  holds the lanes back instead of piling up results, and a failed upload
-  is logged and skipped without stopping the thread.
+* **Upload behind** — the main loop hands each finished payload to one
+  uploader thread and moves on; the uploader publishes completions in FIFO
+  order.  Its backlog holds at most ``capacity`` payloads, so a slow
+  coordinator holds the main loop back instead of piling up results, and a
+  failed upload is logged and skipped without stopping the thread.
 * **Cache tier** — the worker's local :class:`~repro.sweep.store.
   ResultStore` is consulted before simulating and written after; a local
   hit uploads immediately (result upload = publish to the coordinator's
@@ -35,24 +36,26 @@ leases it is currently heartbeating:
   eventual upload land as a stale completion, which the coordinator
   publishes or adopts but never double-counts.
 * **Node faults** — the worker interprets the fabric-level
-  :mod:`~repro.sweep.faults` modes: ``lease_stall`` suspends heartbeats
-  for the leased job and over-holds past the TTL (the job still completes,
+  :mod:`~repro.sweep.faults` modes before a job reaches the pool:
+  ``worker_kill`` ends the worker's own process with exit code 137, like
+  ``kill -9``; ``lease_stall`` suspends heartbeats for the leased job and
+  stalls the node past the TTL before running it (the job still completes,
   but stale), and while it holds the stalled lease the worker leases
-  nothing, as a stalled node would not; ``net_drop:n=K`` makes the next K
-  outbound coordinator requests fail as if the network dropped them.
-  ``worker_kill`` needs no interpretation — it fires inside
-  ``execute_job`` and takes the whole process down, exactly like
-  ``kill -9``.
+  nothing; ``net_drop:n=K`` makes the next K outbound coordinator requests
+  fail as if the network dropped them.
 
-The waiting grants are the price of the pipeline: while every lane is
-busy with a hung or very long job, a waiting grant waits with it (one job
-held back per lane) until the job ends.  If the worker dies first, both
-jobs requeue uncharged.
+A waiting grant sits behind the job running on its pool worker.
+``REPRO_SWEEP_TIMEOUT`` bounds that wait: an overrun job's pool worker is
+replaced, and the grant behind it moves on uncharged.  Without a timeout a
+hung job holds one grant back until it ends.  If the worker dies first,
+both leases requeue uncharged.
 
 Exit behaviour: ``run(exit_on_idle=N)`` returns after N consecutive empty
 polls (CI and tests); without it the worker polls until stopped.  Either
 way it first runs every grant it holds and drains the uploader, so no
-result it computed is lost.  A coordinator that stays unreachable for
+result it computed is lost.  A ``KeyboardInterrupt`` (Ctrl-C) ends the
+pool's workers at once instead, also mid-job; the leases of the jobs they
+held lapse and requeue.  A coordinator that stays unreachable for
 ``max_errors`` consecutive lease requests ends the loop with a
 :class:`ServiceError`.
 """
@@ -64,18 +67,17 @@ import queue
 import socket
 import threading
 import traceback
-from concurrent.futures import (FIRST_COMPLETED, Future, ThreadPoolExecutor,
-                                wait)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro import obs
-from repro.runner import KernelRunResult
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.spec import SpecError, job_from_wire
 from repro.sweep import faults
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore
-from repro.sweep.supervisor import RetryPolicy, execute_supervised
+from repro.sweep.supervisor import (_JOBS_PER_WORKER, RetryPolicy,
+                                    SingleJobOutcome, SupervisedPool)
 
 #: Worker-process metrics (scraped via ``repro doctor`` snapshots and the
 #: counters printed at exit; a worker has no HTTP listener of its own).
@@ -90,16 +92,17 @@ _OBS_STALE_UPLOADS = obs.counter("repro_worker_stale_uploads_total",
 _OBS_NET_DROPS = obs.counter("repro_worker_net_drops_total",
                              "Outbound requests lost to injected partitions")
 
-#: Grants a worker holds per lane: the one it runs and one waiting.
-_GRANTS_PER_LANE = 2
+#: A granted job in the pool: its lease, the job and its trace context.
+_Held = Tuple[str, SweepJob, Optional[obs.TraceContext]]
 
 
 class FabricWorker:
     """One worker process's pull/execute/publish loop.
 
-    ``runner`` replaces the supervised execution in tests (a callable
-    ``job -> KernelRunResult``; raising marks the job failed); production
-    leaves it ``None``.
+    ``pool`` replaces the supervised pool in tests (anything with the
+    :class:`~repro.sweep.supervisor.SupervisedPool` interface); production
+    leaves it ``None`` and :meth:`run` creates a pool of ``capacity``
+    processes under ``retry``.  :meth:`run` closes the pool it used.
     """
 
     def __init__(self, url: str, token: Optional[str] = None,
@@ -107,8 +110,7 @@ class FabricWorker:
                  store: Optional[ResultStore] = None,
                  retry: Optional[RetryPolicy] = None,
                  poll_seconds: float = 0.5,
-                 runner: Optional[Callable[[SweepJob],
-                                           KernelRunResult]] = None,
+                 pool: Optional[SupervisedPool] = None,
                  log: Optional[Callable[[str], None]] = None) -> None:
         self.client = ServiceClient(url, token=token)
         self.worker_id = (worker_id
@@ -118,7 +120,7 @@ class FabricWorker:
         self.store = store
         self.retry = retry if retry is not None else RetryPolicy()
         self.poll_seconds = max(0.02, float(poll_seconds))
-        self._runner = runner
+        self._pool = pool
         self._log = log or (lambda _line: None)
         self._ttl = 10.0  # refined by every lease response
         self._active: Set[str] = set()     # held leases, until uploaded
@@ -149,7 +151,8 @@ class FabricWorker:
             max_errors: int = 10) -> None:
         """Pull-execute-publish until stopped (or idle/unreachable).
 
-        Returns only after every held grant has run and been uploaded.
+        Returns only after every held grant has run and been uploaded; a
+        ``KeyboardInterrupt`` ends the pool's workers without waiting.
         """
         heartbeat = threading.Thread(target=self._heartbeat_loop,
                                      name=f"{self.worker_id}-heartbeat",
@@ -159,21 +162,22 @@ class FabricWorker:
                                     daemon=True)
         heartbeat.start()
         uploader.start()
-        lanes = ThreadPoolExecutor(max_workers=self.capacity,
-                                   thread_name_prefix=self.worker_id)
-        held: Set[Future] = set()
+        pool = (self._pool if self._pool is not None
+                else SupervisedPool(self.capacity, self.retry))
+        held: Dict[Future, _Held] = {}
+        drain = True
         idle = 0
         errors = 0
         try:
             while not self._stop.is_set():
-                held = {f for f in held if not f.done()}
+                self._harvest(held)
                 grants = []
                 with self._lock:
                     stalled = bool(self._suspended)
                 # A stalled node leases nothing until its stalled lease
-                # is uploaded; otherwise top up to two grants per lane.
+                # is uploaded; otherwise top up to two grants per worker.
                 want = (0 if stalled
-                        else _GRANTS_PER_LANE * self.capacity - len(held))
+                        else _JOBS_PER_WORKER * self.capacity - len(held))
                 if want > 0:
                     try:
                         grants = self._lease(want)
@@ -189,7 +193,7 @@ class FabricWorker:
                 if grants:
                     idle = 0
                     for grant in grants:
-                        held.add(lanes.submit(self._run_grant, grant))
+                        self._start(grant, pool, held)
                     continue
                 if held:
                     idle = 0
@@ -200,14 +204,22 @@ class FabricWorker:
                 if exit_on_idle is not None and idle >= exit_on_idle:
                     return
                 self._stop.wait(self.poll_seconds)
+        except KeyboardInterrupt:
+            drain = False  # the held leases lapse and requeue
+            raise
         finally:
             self._stop.set()
-            lanes.shutdown(wait=True)  # every held grant runs...
-            self._uploads.put(None)    # ...and is uploaded
-            uploader.join()
-            self._drained.set()
-            self._beat_wake.set()
-            heartbeat.join(timeout=2.0)
+            try:
+                if drain:
+                    wait(held)           # every held grant runs...
+                    self._harvest(held)  # ...and is uploaded
+            finally:
+                pool.close()
+                self._uploads.put(None)
+                uploader.join()
+                self._drained.set()
+                self._beat_wake.set()
+                heartbeat.join(timeout=2.0)
 
     def _lease(self, want: int):
         self._net_gate()
@@ -224,58 +236,87 @@ class FabricWorker:
 
     # -- per-grant execution ------------------------------------------------
 
-    def _run_grant(self, grant: dict) -> None:
-        """Lane body: run one held grant and queue its upload."""
+    def _start(self, grant: dict, pool: SupervisedPool,
+               held: Dict[Future, _Held]) -> None:
+        """Hand one grant to the pool, or upload it at once when it needs
+        no simulation (undecodable spec, local store hit)."""
         lease_id = str(grant.get("lease"))
         try:
-            payload = self._payload(lease_id, grant)
-        except Exception:  # noqa: BLE001 - the lane must keep running
-            # Nothing to upload: let the lease lapse so the job requeues.
-            self._log(f"[{self.worker_id}] grant {lease_id} abandoned:\n"
-                      f"{traceback.format_exc()}")
-            self._release(lease_id)
-            return
-        self._uploads.put((lease_id, payload))  # blocks while backlogged
-
-    def _payload(self, lease_id: str, grant: dict) -> dict:
-        """Run one grant (after any injected stall); build its upload."""
-        try:
-            job = job_from_wire(grant.get("job", {}))
-        except SpecError as exc:
-            self._count("failures")
-            return {"ok": False, "hash": grant.get("hash"),
+            try:
+                job = job_from_wire(grant.get("job", {}))
+            except SpecError as exc:
+                self.failures += 1
+                self._uploads.put((lease_id, {
+                    "ok": False, "hash": grant.get("hash"),
                     "failure": {"kind": "exception",
                                 "error_type": "SpecError",
                                 "message": f"undecodable grant: {exc}",
-                                "worker": self.worker_id}}
-        job_hash = job.content_hash()
-        trace = obs.TraceContext.from_wire(grant.get("trace"))
-        stall = faults.claim_node_fault("lease_stall", job)
-        if stall is not None:
-            # A stalled node: heartbeats stop, the lease expires while
-            # the job still "runs".  Completion lands stale on purpose.
-            with self._lock:
-                self._suspended.add(lease_id)
-            self._log(f"[{self.worker_id}] lease_stall on {job.label}: "
-                      f"holding {lease_id} past its TTL")
-            self._stop.wait(min(stall.hang_seconds, self._ttl * 3.0))
-        # The attempt span parents to the coordinator's submit span
-        # (the grant's trace context), continuing the sweep's trace
-        # inside this process; its record — and everything nested
-        # under it — ships home with the completion payload.
-        with obs.span("attempt", parent=trace, worker=self.worker_id,
-                      lease=lease_id, job=job.label,
-                      attempt=int(grant.get("attempt", 1))):
-            payload = self._execute(job, job_hash)
-        payload["lease_was_lost"] = lease_id in self._lost
-        if trace is not None:
-            payload["spans"] = obs.take_spans(trace.trace_id)
-        return payload
+                                "worker": self.worker_id}}))
+                return
+            stall = faults.claim_node_fault("lease_stall", job)
+            if stall is not None:
+                # A stalled node: heartbeats stop, the lease expires while
+                # the job still "runs".  Completion lands stale on purpose.
+                with self._lock:
+                    self._suspended.add(lease_id)
+                self._log(f"[{self.worker_id}] lease_stall on {job.label}: "
+                          f"holding {lease_id} past its TTL")
+                self._stop.wait(min(stall.hang_seconds, self._ttl * 3.0))
+            cached = self.store.load(job) if self.store is not None else None
+            if cached is not None:
+                self.local_hits += 1
+                _OBS_LOCAL_HITS.inc()
+                self._uploads.put((lease_id, {
+                    "ok": True, "hash": job.content_hash(),
+                    "result": cached.to_json_dict(), "attempts": 0,
+                    "degraded": False, "cache_hit": True}))
+                return
+            if faults.claim_node_fault("worker_kill", job) is not None:
+                self._log(f"[{self.worker_id}] worker_kill on {job.label}")
+                os._exit(faults.WORKER_KILL_EXIT_CODE)
+            trace = obs.TraceContext.from_wire(grant.get("trace"))
+            held[pool.submit(job, trace)] = (lease_id, job, trace)
+        except Exception:  # noqa: BLE001 - the loop must keep running
+            self._abandon(lease_id)
 
-    def _count(self, counter: str) -> None:
-        """Add one to a counter that lanes and helper threads share."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
+    def _harvest(self, held: Dict[Future, _Held]) -> None:
+        """Queue the upload of every finished job (blocks while the
+        uploader is backlogged)."""
+        for future in [future for future in held if future.done()]:
+            lease_id, job, trace = held.pop(future)
+            try:
+                payload = self._payload(job, future.result())
+            except Exception:  # noqa: BLE001 - the loop must keep running
+                self._abandon(lease_id)
+                continue
+            if trace is not None:
+                # The attempt span and everything nested under it ship
+                # home with the completion.
+                payload["spans"] = obs.take_spans(trace.trace_id)
+            self._uploads.put((lease_id, payload))
+
+    def _payload(self, job: SweepJob, outcome: SingleJobOutcome) -> dict:
+        """The upload for one pool outcome (a result is cached locally)."""
+        job_hash = job.content_hash()
+        if outcome.failure is not None:
+            self.failures += 1
+            return {"ok": False, "hash": job_hash,
+                    "failure": dict(outcome.failure.to_dict(),
+                                    worker=self.worker_id)}
+        self.executed += 1
+        _OBS_EXECUTED.inc()
+        if self.store is not None:
+            self.store.save(job, outcome.result)  # local cache tier
+        return {"ok": True, "hash": job_hash,
+                "result": outcome.result.to_json_dict(),
+                "attempts": outcome.attempts, "degraded": outcome.degraded,
+                "cache_hit": False}
+
+    def _abandon(self, lease_id: str) -> None:
+        """Nothing to upload: let the lease lapse so the job requeues."""
+        self._log(f"[{self.worker_id}] grant {lease_id} abandoned:\n"
+                  f"{traceback.format_exc()}")
+        self._release(lease_id)
 
     def _release(self, lease_id: str) -> None:
         """Stop holding a lease: no more heartbeats for it."""
@@ -283,45 +324,6 @@ class FabricWorker:
             self._active.discard(lease_id)
             self._suspended.discard(lease_id)
             self._lost.discard(lease_id)
-
-    def _execute(self, job: SweepJob, job_hash: str) -> dict:
-        """Run one job (local store first) and build the upload payload."""
-        cached = self.store.load(job) if self.store is not None else None
-        if cached is not None:
-            self._count("local_hits")
-            _OBS_LOCAL_HITS.inc()
-            return {"ok": True, "hash": job_hash,
-                    "result": cached.to_json_dict(),
-                    "attempts": 0, "degraded": False, "cache_hit": True}
-        if self._runner is not None:
-            try:
-                result = self._runner(job)
-                attempts, degraded = 1, False
-            except Exception as exc:  # noqa: BLE001 - uploaded as failure
-                self._count("failures")
-                return {"ok": False, "hash": job_hash,
-                        "failure": {"kind": "exception",
-                                    "error_type": type(exc).__name__,
-                                    "message": str(exc),
-                                    "worker": self.worker_id}}
-        else:
-            outcome = execute_supervised(job, self.retry)
-            if outcome.failure is not None:
-                self._count("failures")
-                failure = dict(outcome.failure.to_dict(),
-                               kind=outcome.failure.kind,
-                               worker=self.worker_id)
-                return {"ok": False, "hash": job_hash, "failure": failure}
-            result = outcome.result
-            attempts, degraded = outcome.attempts, outcome.degraded
-        self._count("executed")
-        _OBS_EXECUTED.inc()
-        if self.store is not None:
-            self.store.save(job, result)  # local cache tier
-        return {"ok": True, "hash": job_hash,
-                "result": result.to_json_dict(),
-                "attempts": attempts, "degraded": degraded,
-                "cache_hit": False}
 
     def _upload(self, lease_id: str, payload: dict, tries: int = 4) -> None:
         for attempt in range(1, tries + 1):
@@ -395,7 +397,8 @@ class FabricWorker:
     def _net_gate(self) -> None:
         """Simulated partition: drop the next K outbound requests."""
         if faults.claim_node_fault("net_drop") is not None:
-            self._count("net_drops")
+            with self._lock:  # the main loop, uploader and beats all call
+                self.net_drops += 1
             _OBS_NET_DROPS.inc()
             raise ServiceError(
                 f"injected net_drop: outbound request from "

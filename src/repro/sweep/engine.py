@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -223,9 +224,10 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
     still fails is raised by ``on_error="raise"`` (default) — the original
     exception on the serial path, a :class:`SweepJobError` after the pool
     has finished every other job — or, with ``on_error="collect"``,
-    recorded as a structured failure beside the partial results.  Serial
-    sweeps cannot enforce timeouts or survive a crashing job; an injected
-    segfault degrades to an in-band exception there.
+    recorded as a structured failure beside the partial results.  The
+    serial path runs jobs in-process, so it cannot enforce timeouts or
+    survive a crashing job; an injected segfault degrades to an in-band
+    exception there.
     """
     if on_error not in ON_ERROR_MODES:
         raise ValueError(f"on_error must be one of {ON_ERROR_MODES}, got "
@@ -288,13 +290,24 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
             store.save(jobs[index], result)
         report_progress(index, source)
 
+    outcome = SupervisionOutcome()
     if parallel:
-        outcome = SupervisedPool(jobs, workers, policy).run(
-            unique, on_result=lambda i, r: finish(i, r, "parallel"))
+        # Results are stored as they arrive, which is what makes resume
+        # after an interrupt cheap; close() ends the workers on any exit.
+        pool = SupervisedPool(workers, policy)
+        try:
+            futures = {pool.submit(jobs[index]): index for index in unique}
+            for future in as_completed(futures):
+                index = futures[future]
+                result = outcome.record(index, jobs[index].label,
+                                        future.result())
+                if result is not None:
+                    finish(index, result, "parallel")
+        finally:
+            pool.close()
         if outcome.failures and on_error == "raise":
             raise SweepJobError(outcome.failures[0])
     else:
-        outcome = SupervisionOutcome()
         for index in unique:
             job_outcome = execute_supervised(jobs[index], policy)
             if job_outcome.failure is not None and on_error == "raise":

@@ -47,9 +47,11 @@ how native-only crashes are modelled).
 Node-level modes (the distributed fabric's failure vocabulary):
 
 ``worker_kill``
-    Die instantly via ``os._exit`` *in a worker process* (a pool worker or
-    a ``repro worker`` fabric process) — models a node crash / ``kill -9``.
-    In a plain parent process the mode degrades to ``raise``.
+    Models a node crash / ``kill -9``.  The fabric worker claims it via
+    :func:`claim_node_fault` before handing a matching job to its pool and
+    ends its own process with exit code 137.  Inside a pool worker the
+    mode dies the same way, a crash of that pool worker; in a plain
+    parent process it degrades to ``raise``.
 ``lease_stall``
     Never fired by :func:`maybe_inject`; the fabric worker claims it via
     :func:`claim_node_fault` and responds by suspending heartbeats for the
@@ -83,10 +85,6 @@ FAULT_ENV_VAR = "REPRO_FAULT_INJECT"
 
 #: Shared state directory for cross-process at-most-n fault accounting.
 STATE_ENV_VAR = "REPRO_FAULT_STATE"
-
-#: Set (to anything non-empty) in a ``repro worker`` fabric process so
-#: ``worker_kill`` knows it may die for real there.
-FABRIC_WORKER_ENV_VAR = "REPRO_FABRIC_WORKER"
 
 #: Node-level modes interpreted by the distributed fabric.
 NODE_MODES = ("worker_kill", "lease_stall", "net_drop")
@@ -192,13 +190,6 @@ def _in_pool_worker() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-def _in_worker_process() -> bool:
-    """True where a fatal injected crash is allowed: a pool worker or a
-    ``repro worker`` fabric process (never the coordinating parent)."""
-    return (_in_pool_worker()
-            or bool(os.environ.get(FABRIC_WORKER_ENV_VAR, "").strip()))
-
-
 #: Per-process token counts (fallback when no shared state dir is set).
 _LOCAL_TOKENS: dict = {}
 
@@ -248,8 +239,9 @@ def claim_node_fault(mode: str, job=None) -> Optional["FaultSpec"]:
 
     Returns the matching spec when one is active, matches ``job`` (when
     given) and still has a firing token; ``None`` otherwise.  This is how
-    the fabric worker consults ``lease_stall`` and ``net_drop`` — modes
-    that misbehave at the *protocol* layer rather than inside a job.
+    the fabric worker consults ``worker_kill``, ``lease_stall`` and
+    ``net_drop`` — modes that take down or stall the node, or misbehave
+    at the *protocol* layer, rather than fail inside a job.
     """
     if mode not in NODE_MODES:
         raise FaultConfigError(f"not a node-level fault mode: {mode!r}")
@@ -295,10 +287,9 @@ class FaultInjector:
             if spec.mode == "worker_kill":
                 if not claim_fault_token(spec):
                     return  # at-most-n kills already spent: run normally
-                if _in_worker_process():
-                    # Die like kill -9: no cleanup, no exception.  A pool
-                    # parent sees EOF on the worker's pipe; a fabric
-                    # coordinator sees the lease expire.
+                if _in_pool_worker():
+                    # Die like kill -9: no cleanup, no exception — the
+                    # pool parent sees EOF on the worker's pipe.
                     os._exit(WORKER_KILL_EXIT_CODE)
                 raise InjectedFault(
                     f"injected worker kill for {label} (in-process: "

@@ -1,10 +1,17 @@
-"""Supervised worker processes for the sweep engine.
+"""Supervised worker processes: the one execution core for every job.
 
-:class:`SupervisedPool` runs a sweep on worker processes that each own one
-duplex pipe and hold at most two jobs: the head of a worker's list is the job
-it runs, and the job behind it waits in the pipe so the worker never idles
-while the parent stores the previous result.  A worker only ever runs its
-head job, so every failure a worker cannot report itself is charged exactly:
+:class:`SupervisedPool` is a long-lived pool of worker processes behind a
+streaming ``submit(job, trace=None) -> Future[SingleJobOutcome]``.  Parallel
+sweeps (:func:`repro.sweep.engine.run_sweep`), the service queue's local
+dispatch (``repro serve``) and the fabric worker (``repro worker``) all run
+their jobs on it.  One dispatcher thread forks every worker, initial and
+replacement, and lives until :meth:`SupervisedPool.close`.
+
+Each worker owns one duplex pipe and holds at most two jobs: the head of its
+list is the job it runs, and the job behind it waits in the pipe so the
+worker never idles while the parent handles the previous outcome.  A worker
+only ever runs its head job, so every failure a worker cannot report itself
+is charged exactly:
 
 * **Crash** — EOF on the pipe (a native segfault, the OOM killer) is charged
   to the head job alone.  Only that worker is joined and replaced; the job
@@ -15,14 +22,15 @@ head job, so every failure a worker cannot report itself is charged exactly:
 
 Workers never outlive their parent: each one closes the parent's pipe ends
 it inherited at fork, so an idle worker reads EOF when the parent dies, and
-on Linux asks the kernel to SIGKILL it then, which also covers a worker
-stuck inside a job.
+on Linux asks the kernel to SIGKILL it when the dispatcher thread ends,
+which also covers a worker stuck inside a job.  ``close()`` ends the
+workers at once, also one in the middle of a job.
 
 Inside a worker every job runs through :func:`execute_supervised`, the
-single-job ladder the service queue and the fabric worker use too: bounded
-retry with exponential backoff for in-band exceptions, and immediate
-degradation to the forced Python engine on a structured native-engine fault.
-The parent keeps only the ladder for crashes and timeouts: retry up to
+single-job ladder the serial sweep path uses too: bounded retry with
+exponential backoff for in-band exceptions, and immediate degradation to the
+forced Python engine on a structured native-engine fault.  The dispatcher
+keeps only the ladder for crashes and timeouts: retry up to
 ``max_attempts``, then one attempt under the forced Python engine
 (:func:`repro.snitch.native.forced_python`, on the theory that the native C
 engine is the component most likely to crash or wedge), then a
@@ -40,20 +48,21 @@ import multiprocessing
 import os
 import signal
 import sys
+import threading
 import time
 import traceback as traceback_module
 from collections import deque
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.runner import KernelRunResult
 from repro.sweep.job import SweepJob
 
 #: Supervision metrics: every attempt / retry / degradation / fault across
-#: all supervised execution in this process (serial engine path, service
-#: queue, fabric workers alike).
+#: all supervised execution in this process and, for timeouts, its pools.
 _OBS_ATTEMPTS = obs.counter("repro_supervisor_attempts_total",
                             "Supervised job execution attempts")
 _OBS_RETRIES = obs.counter("repro_supervisor_retries_total",
@@ -125,10 +134,10 @@ class RetryPolicy:
 
     ``timeout_seconds`` is *per job*: it bounds the job's in-worker attempts
     together, counted from when its pool worker could first start it.
-    ``None`` disables timeouts; serial sweeps cannot enforce them.
-    ``degrade_to_python`` controls whether a crashed, timed-out or
-    native-faulting job earns one final attempt under the forced Python
-    reference engine.
+    ``None`` disables timeouts; the serial sweep path, which runs jobs
+    in-process, cannot enforce them.  ``degrade_to_python`` controls
+    whether a crashed, timed-out or native-faulting job earns one final
+    attempt under the forced Python reference engine.
     """
 
     max_attempts: int = 3
@@ -217,14 +226,17 @@ class JobFailure:
 
 @dataclass
 class SingleJobOutcome:
-    """What one in-process supervised execution produced.
+    """What the supervised execution of one job produced.
 
     Exactly one of ``result`` / ``failure`` is set; ``exception`` carries
     the final raised exception alongside ``failure`` so callers that want
     fail-fast semantics can re-raise the original object (traceback
-    intact).  ``retries`` / ``native_faults`` are counters for sweep-report
-    aggregation; ``degraded`` records that the successful attempt ran under
-    the forced Python engine.
+    intact; in-process execution only).  ``retries`` / ``native_faults`` /
+    ``restarts`` (pool workers replaced while running this job) /
+    ``timeouts`` are counters for sweep-report aggregation; ``degraded``
+    records that the successful attempt ran under the forced Python
+    engine.  ``progress`` lists what the ladder did on the way, in order:
+    ``{"phase": "retry" | "degraded", "attempt": n, "error": type name}``.
     """
 
     result: Optional[KernelRunResult] = None
@@ -234,6 +246,9 @@ class SingleJobOutcome:
     degraded: bool = False
     retries: int = 0
     native_faults: int = 0
+    restarts: int = 0
+    timeouts: int = 0
+    progress: List[Dict[str, object]] = field(default_factory=list)
 
 
 @dataclass
@@ -256,6 +271,8 @@ class SupervisionOutcome:
         """Fold one job's outcome in; return its result (None if it failed)."""
         self.retries += outcome.retries
         self.native_faults += outcome.native_faults
+        self.pool_restarts += outcome.restarts
+        self.timeouts += outcome.timeouts
         if outcome.failure is not None:
             outcome.failure.index = index
             self.failures.append(outcome.failure)
@@ -267,22 +284,14 @@ class SupervisionOutcome:
         return outcome.result
 
 
-#: Optional progress hook for :func:`execute_supervised`:
-#: ``report(phase, **detail)`` with phases ``"retry"`` and ``"degraded"``.
-ReportFn = Callable[..., None]
-
-
-def execute_supervised(job: SweepJob, policy: RetryPolicy,
-                       report: Optional[ReportFn] = None, *,
+def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
                        attempt: int = 1,
                        force_python: bool = False) -> SingleJobOutcome:
     """Run one job in-process under the full supervision policy.
 
-    This is the single-job core shared by the sweep engine (serially and
-    inside every pool worker), the service job queue
-    (:mod:`repro.service.queue`) and the fabric worker: bounded retry with
-    exponential backoff for in-band exceptions, and immediate degradation
-    to the forced Python engine on a structured
+    This is the single-job core of the serial sweep path and of every pool
+    worker: bounded retry with exponential backoff for in-band exceptions,
+    and immediate degradation to the forced Python engine on a structured
     :class:`~repro.snitch.native.NativeEngineError` (a deterministic guard
     fault would just fire again natively).  Timeouts and crash recovery
     need worker processes and live in :class:`SupervisedPool`; an injected
@@ -291,16 +300,14 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
 
     ``attempt`` and ``force_python`` say where on the ladder to start: the
     pool passes them when it re-runs a job whose worker crashed or timed out.
-
-    ``report``, when given, is called as ``report("retry", attempt=n,
-    error=...)`` / ``report("degraded", attempt=n, error=...)`` before each
-    backoff pause — the service queue fans these out to event subscribers.
+    Each retry and degradation is listed in the outcome's ``progress``.
     """
     from repro.snitch import native
     from repro.sweep.engine import execute_job
 
     retries = 0
     native_faults = 0
+    progress: List[Dict[str, object]] = []
     while True:
         _OBS_ATTEMPTS.inc()
         start = time.perf_counter()
@@ -325,9 +332,8 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
                     retries += 1
                     _OBS_DEGRADATIONS.inc()
                     _OBS_RETRIES.inc()
-                    if report is not None:
-                        report("degraded", attempt=attempt,
-                               error=type(exc).__name__)
+                    progress.append({"phase": "degraded", "attempt": attempt,
+                                     "error": type(exc).__name__})
                     time.sleep(policy.backoff_for(attempt))
                     attempt += 1
                     force_python = True
@@ -336,9 +342,8 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
                     and attempt < policy.max_attempts):
                 retries += 1
                 _OBS_RETRIES.inc()
-                if report is not None:
-                    report("retry", attempt=attempt,
-                           error=type(exc).__name__)
+                progress.append({"phase": "retry", "attempt": attempt,
+                                 "error": type(exc).__name__})
                 time.sleep(policy.backoff_for(attempt))
                 attempt += 1
                 continue
@@ -358,19 +363,21 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy,
                 attempts=attempt,
                 retries=retries,
                 native_faults=native_faults,
+                progress=progress,
             )
         else:
             return SingleJobOutcome(result=result, attempts=attempt,
                                     degraded=force_python, retries=retries,
-                                    native_faults=native_faults)
+                                    native_faults=native_faults,
+                                    progress=progress)
 
 
 def _die_with_parent(parent: int) -> bool:
     """Have the kernel SIGKILL this worker when its parent dies (Linux).
 
-    The signal fires when the thread that forked the worker exits;
-    :meth:`SupervisedPool.run` forks and joins its workers in one call, so
-    that thread outlives them.  Returns False if the parent is already gone.
+    The signal fires when the thread that forked the worker exits: the
+    pool's dispatcher thread, which joins every worker before it ends.
+    Returns False if the parent is already gone.
     """
     if sys.platform.startswith("linux"):
         import ctypes
@@ -393,9 +400,13 @@ def _worker_main(conn, policy: RetryPolicy, parent: int,
     """Pool worker body: run each job sent down ``conn``, send its outcome.
 
     ``inherited`` are the parent's pipe ends this process got at fork (its
-    own and those of the workers forked before it); closing them lets a
-    dead parent read as EOF here.  SIGINT is ignored: a Ctrl-C reaches the
-    parent, which kills its workers.
+    own, those of the workers forked before it and the dispatcher's wake-up
+    pipe); closing them lets a dead parent read as EOF here.  SIGINT is
+    ignored: a Ctrl-C reaches the parent, which ends its workers.
+
+    A job submitted with a trace context runs under an ``attempt`` span
+    parented to it; the spans recorded for that trace (the attempt and
+    everything ``run_kernel`` nests under it) travel back with the outcome.
     """
     for end in inherited:
         end.close()
@@ -409,22 +420,35 @@ def _worker_main(conn, policy: RetryPolicy, parent: int,
             return
         if message is None:
             return
-        job, attempt, force_python = message
-        outcome = execute_supervised(job, policy, attempt=attempt,
-                                     force_python=force_python)
+        job, attempt, force_python, trace = message
+        spans: List[dict] = []
+        if trace is None:
+            outcome = execute_supervised(job, policy, attempt=attempt,
+                                         force_python=force_python)
+        else:
+            with obs.span("attempt", parent=trace,
+                          worker=obs.process_label(), job=job.label,
+                          kernel=job.kernel, variant=job.variant):
+                outcome = execute_supervised(job, policy, attempt=attempt,
+                                             force_python=force_python)
+            spans = obs.take_spans(trace.trace_id)
         # The failure record carries the exception's type, text and
         # traceback; the object itself need not survive pickling.
-        conn.send(replace(outcome, exception=None))
+        conn.send((replace(outcome, exception=None), spans))
 
 
 @dataclass
 class _Task:
-    """One job's place on the crash/timeout ladder."""
+    """One submitted job and its place on the crash/timeout ladder."""
 
-    index: int
+    job: SweepJob
+    future: Future
+    trace: Optional[obs.TraceContext] = None
     attempt: int = 1
     force_python: bool = False
     not_before: float = 0.0
+    #: What the dispatcher's own ladder did for the job so far.
+    ladder: SingleJobOutcome = field(default_factory=SingleJobOutcome)
 
 
 class _Worker:
@@ -432,24 +456,25 @@ class _Worker:
     down it in order (the head is the one running)."""
 
     def __init__(self, context, policy: RetryPolicy,
-                 others: Sequence["_Worker"]) -> None:
+                 inherited: Sequence) -> None:
         self.conn, child_conn = context.Pipe()
-        inherited = [self.conn] + [other.conn for other in others]
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, policy, os.getpid(), inherited), daemon=True)
+            args=(child_conn, policy, os.getpid(),
+                  [self.conn, *inherited]), daemon=True)
         self.process.start()
         child_conn.close()  # so EOF on ``conn`` means the worker died
         self.tasks: Deque[_Task] = deque()
         #: When the head task could first start running.
         self.started = 0.0
 
-    def send(self, job: SweepJob, task: _Task) -> None:
+    def send(self, task: _Task) -> None:
         if not self.tasks:
             self.started = time.monotonic()
         self.tasks.append(task)
         try:
-            self.conn.send((job, task.attempt, task.force_python))
+            self.conn.send((task.job, task.attempt, task.force_python,
+                            task.trace))
         except OSError:
             pass  # the worker died: EOF charges its head task
 
@@ -466,61 +491,122 @@ class _Worker:
         self.conn.close()
 
 
-class SupervisedPool:
-    """Runs sweep jobs on supervised worker processes (see module docs)."""
+def _resolve(task: _Task, outcome: SingleJobOutcome) -> None:
+    """Complete the task's future with ``outcome`` plus the dispatcher's
+    own ladder steps for it."""
+    outcome.retries += task.ladder.retries
+    outcome.restarts += task.ladder.restarts
+    outcome.timeouts += task.ladder.timeouts
+    outcome.progress[:0] = task.ladder.progress
+    try:
+        task.future.set_result(outcome)
+    except InvalidStateError:
+        pass  # cancelled by its submitter in the meantime
 
-    def __init__(self, jobs: Sequence[SweepJob], workers: int,
-                 policy: RetryPolicy) -> None:
-        self.jobs = list(jobs)
+
+class SupervisedPool:
+    """Runs jobs on supervised worker processes (see module docs).
+
+    ``submit`` may be called from any thread.  ``close`` ends the workers,
+    joins them and the dispatcher thread, and cancels the future of every
+    job that has not finished; it is idempotent.
+    """
+
+    def __init__(self, workers: int, policy: RetryPolicy) -> None:
         self.workers = max(1, int(workers))
         self.policy = policy
         # Fork workers are cheap and inherit the parent's warm caches.
-        self.context = multiprocessing.get_context(
+        self._context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else None)
+        self._lock = threading.Lock()
+        self._incoming: List[_Task] = []
+        self._closed = False
+        self._wake_reader, self._wake_writer = self._context.Pipe(
+            duplex=False)
+        self._wake_pending = False
+        self._thread = threading.Thread(target=self._run,
+                                        name="repro-pool", daemon=True)
+        self._thread.start()
 
-    def run(self, indices: Sequence[int],
-            on_result: Callable[[int, KernelRunResult], None]
-            ) -> SupervisionOutcome:
-        """Execute the jobs at ``indices``; returns the supervision outcome.
+    def submit(self, job: SweepJob,
+               trace: Optional[obs.TraceContext] = None) -> Future:
+        """Queue ``job``; the future resolves to its
+        :class:`SingleJobOutcome` (a failure is an outcome, not an
+        exception)."""
+        task = _Task(job, Future(), trace)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("submit on a closed SupervisedPool")
+            self._incoming.append(task)
+            self._wake()
+        return task.future
 
-        ``on_result(index, result)`` fires in the parent for every
-        successful job as soon as it arrives — the sweep engine uses it to
-        persist results incrementally, which is what makes resume after an
-        interrupt cheap.  Every worker is joined before this returns or
-        re-raises (a ``KeyboardInterrupt`` or an exception from
-        ``on_result`` kills them first).
-        """
-        queue: Deque[_Task] = deque(_Task(index) for index in indices)
-        outcome = SupervisionOutcome()
-        timeout = self.policy.timeout_seconds
+    def close(self) -> None:
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self._wake()
+        self._thread.join()
+
+    def _wake(self) -> None:
+        """Wake the dispatcher (caller holds the lock).  At most one
+        wake-up byte is ever pending, so the write never blocks."""
+        if not self._wake_pending:
+            self._wake_pending = True
+            self._wake_writer.send_bytes(b"")
+
+    def _take(self, queue: Deque[_Task]) -> bool:
+        """Move submitted tasks onto ``queue``; False once closed."""
+        with self._lock:
+            if self._wake_pending:
+                self._wake_reader.recv_bytes()
+                self._wake_pending = False
+            queue.extend(self._incoming)
+            self._incoming.clear()
+            return not self._closed
+
+    def _fork(self, workers: List[_Worker]) -> _Worker:
+        return _Worker(self._context, self.policy,
+                       [worker.conn for worker in workers]
+                       + [self._wake_reader, self._wake_writer])
+
+    def _run(self) -> None:
+        """Dispatcher thread: fork, feed and supervise the workers."""
+        queue: Deque[_Task] = deque()
         workers: List[_Worker] = []
-        clean = False
+        timeout = self.policy.timeout_seconds
         try:
             for _ in range(self.workers):
-                workers.append(_Worker(self.context, self.policy, workers))
-            while queue or any(worker.tasks for worker in workers):
+                workers.append(self._fork(workers))
+            while self._take(queue):
                 self._dispatch(queue, workers)
-                wait([worker.conn for worker in workers if worker.tasks],
-                     self._wake(queue, workers))
+                wait([self._wake_reader]
+                     + [worker.conn for worker in workers if worker.tasks],
+                     self._wake_after(queue, workers))
                 for slot, worker in enumerate(workers):
                     if not worker.tasks:
                         continue
-                    if not self._receive(worker, on_result, outcome):
+                    if not self._receive(worker):
                         kind = "crash"
                     elif (worker.tasks and timeout is not None
                           and time.monotonic() >= worker.started + timeout):
                         kind = "timeout"
                     else:
                         continue
-                    self._fail_head(worker, kind, queue, outcome)
-                    workers[slot] = _Worker(self.context, self.policy,
-                                            workers)
-            clean = True
+                    self._fail_head(worker, kind, queue)
+                    workers[slot] = self._fork(workers)
         finally:
+            with self._lock:
+                self._closed = True
+                queue.extend(self._incoming)
             for worker in workers:
-                worker.stop(kill=not clean)
-        return outcome
+                worker.stop(kill=bool(worker.tasks))
+                queue.extend(worker.tasks)
+            for task in queue:
+                task.future.cancel()
+            self._wake_reader.close()
+            self._wake_writer.close()
 
     def _dispatch(self, queue: Deque[_Task], workers: List[_Worker]) -> None:
         """Top every worker up to two tasks, idle workers first."""
@@ -535,10 +621,10 @@ class SupervisedPool:
                     return
                 task = queue[ready]
                 del queue[ready]
-                worker.send(self.jobs[task.index], task)
+                worker.send(task)
 
-    def _wake(self, queue: Deque[_Task],
-              workers: List[_Worker]) -> Optional[float]:
+    def _wake_after(self, queue: Deque[_Task],
+                    workers: List[_Worker]) -> Optional[float]:
         """Seconds until the next deadline or backoff expiry (None: none)."""
         times = []
         if self.policy.timeout_seconds is not None:
@@ -550,24 +636,22 @@ class SupervisedPool:
             return None
         return max(0.0, min(times) - time.monotonic())
 
-    def _receive(self, worker: _Worker, on_result,
-                 outcome: SupervisionOutcome) -> bool:
+    def _receive(self, worker: _Worker) -> bool:
         """Take every outcome the worker has sent; False if it died."""
         while worker.tasks and worker.conn.poll():
             try:
-                job_outcome = worker.conn.recv()
+                outcome, spans = worker.conn.recv()
             except (EOFError, OSError):
                 return False
             task = worker.tasks.popleft()
             worker.started = time.monotonic()
-            result = outcome.record(task.index, self.jobs[task.index].label,
-                                    job_outcome)
-            if result is not None:
-                on_result(task.index, result)
+            for span in spans:
+                obs.RECORDER.record(span)
+            _resolve(task, outcome)
         return True
 
-    def _fail_head(self, worker: _Worker, kind: str, queue: Deque[_Task],
-                   outcome: SupervisionOutcome) -> None:
+    def _fail_head(self, worker: _Worker, kind: str,
+                   queue: Deque[_Task]) -> None:
         """Kill and join the worker, charge its head task with ``kind``
         (``"crash"`` or ``"timeout"``) and requeue the task waiting behind
         it uncharged — it never started.
@@ -578,34 +662,38 @@ class SupervisedPool:
         """
         elapsed = time.monotonic() - worker.started
         worker.stop(kill=True)
-        outcome.pool_restarts += 1
         head = worker.tasks.popleft()
         queue.extendleft(reversed(worker.tasks))
-        if kind == "timeout":
-            outcome.timeouts += 1
-            _OBS_TIMEOUTS.inc()
-        policy = self.policy
-        if not head.force_python and (head.attempt < policy.max_attempts
-                                      or policy.degrade_to_python):
-            outcome.retries += 1
-            queue.append(_Task(
-                head.index, head.attempt + 1,
-                force_python=head.attempt >= policy.max_attempts,
-                not_before=time.monotonic()
-                + policy.backoff_for(head.attempt)))
-            return
-        job = self.jobs[head.index]
+        head.ladder.restarts += 1
         if kind == "crash":
             error_type = "WorkerCrash"
             message = (f"worker process died (exit code "
                        f"{worker.process.exitcode}) while running this job")
         else:
+            head.ladder.timeouts += 1
+            _OBS_TIMEOUTS.inc()
             error_type = "TimeoutError"
-            message = (f"job exceeded its {policy.timeout_seconds}s "
+            message = (f"job exceeded its {self.policy.timeout_seconds}s "
                        f"wall-clock timeout")
-        outcome.failures.append(JobFailure(
-            label=job.label, job_hash=job.content_hash(), kind=kind,
-            error_type=error_type, message=message, traceback="",
-            attempts=head.attempt,
-            engine="python" if head.force_python else "auto",
-            elapsed=elapsed, index=head.index))
+        policy = self.policy
+        if not head.force_python and (head.attempt < policy.max_attempts
+                                      or policy.degrade_to_python):
+            head.ladder.retries += 1
+            head.force_python = head.attempt >= policy.max_attempts
+            head.ladder.progress.append({
+                "phase": "degraded" if head.force_python else "retry",
+                "attempt": head.attempt, "error": error_type})
+            head.not_before = (time.monotonic()
+                               + policy.backoff_for(head.attempt))
+            head.attempt += 1
+            queue.append(head)
+            return
+        job = head.job
+        _resolve(head, SingleJobOutcome(
+            failure=JobFailure(
+                label=job.label, job_hash=job.content_hash(), kind=kind,
+                error_type=error_type, message=message, traceback="",
+                attempts=head.attempt,
+                engine="python" if head.force_python else "auto",
+                elapsed=elapsed),
+            attempts=head.attempt))

@@ -383,7 +383,7 @@ class TestServiceCommands:
         stderr summary (consistent with `repro reproduce`)."""
         from tests.test_service_server import running_server
 
-        def exploding(job, report):
+        def exploding(job):
             raise ValueError("injected boom")
 
         with running_server(runner=exploding) as (service, client):
@@ -401,7 +401,7 @@ class TestServiceCommands:
     def test_watch_failure_exits_1_with_summary(self, capsys):
         from tests.test_service_server import running_server
 
-        def exploding(job, report):
+        def exploding(job):
             raise ValueError("injected boom")
 
         with running_server(runner=exploding) as (service, client):

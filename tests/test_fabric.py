@@ -2,9 +2,11 @@
 
 Protocol tests drive ``POST /v1/fabric/lease`` / ``heartbeat`` /
 ``complete`` by hand against a short-TTL coordinator so every lease-table
-transition (grant, renewal, expiry, suspect quarantine, charged failure,
-stale adoption) is pinned down deterministically.  Worker tests run the
-real :class:`FabricWorker` pull loop in-process with an injected runner.
+transition (grant, renewal, expiry, uncharged requeue, the bounded
+``lease_expired`` failure, stale adoption) is pinned down
+deterministically.  Worker tests run the real :class:`FabricWorker` pull
+loop in-process on a thread-backed fake pool, or on the real supervised
+pool where crashes and timeouts are the point.
 The end-to-end test launches two genuine ``repro worker`` subprocesses and
 kills one mid-sweep via ``worker_kill`` fault injection, then checks the
 merged result is bit-identical to a serial in-process run.
@@ -34,6 +36,8 @@ from repro.service import (
 )
 from repro.sweep import ResultStore, execute_job
 from repro.sweep import faults
+from repro.sweep.supervisor import RetryPolicy
+from tests.conftest import ThreadPool
 from tests.test_service_server import JOB_WIRE, execute_job_cached
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +62,7 @@ def wait_until(predicate, timeout=15.0, interval=0.02, message="condition"):
 
 
 @contextlib.contextmanager
-def running_fabric(store=None, ttl=5.0, max_attempts=None, token=None):
+def running_fabric(store=None, ttl=5.0, retry=None, token=None):
     """Boot a fabric-mode daemon (queue + coordinator + HTTP) in a
     background loop thread; yield ``(service, client)``."""
     loop = asyncio.new_event_loop()
@@ -66,8 +70,8 @@ def running_fabric(store=None, ttl=5.0, max_attempts=None, token=None):
     thread.start()
 
     async def boot():
-        queue = JobQueue(store=store, dispatch="fabric")
-        fabric = FabricCoordinator(queue, ttl=ttl, max_attempts=max_attempts)
+        queue = JobQueue(store=store, retry=retry, dispatch="fabric")
+        fabric = FabricCoordinator(queue, ttl=ttl)
         service = ReproService(queue, port=0, token=token, fabric=fabric)
         return await service.start()
 
@@ -93,7 +97,7 @@ class TestFabricProtocol:
             grants = client.lease("w1", capacity=3)["grants"]
             assert len(grants) == 1  # only one job exists
             grant = grants[0]
-            assert grant["suspect"] is False and grant["attempt"] == 1
+            assert grant["attempt"] == 1
             # The wire job decodes to the exact content hash that was
             # submitted: location-independent identity.
             job = job_from_wire(grant["job"])
@@ -150,36 +154,49 @@ class TestFabricProtocol:
         with pytest.raises(FabricError):
             FabricCoordinator(JobQueue())  # dispatch="local"
 
+    def test_coordinator_takes_max_attempts_from_the_queue(self,
+                                                           monkeypatch):
+        # `serve --fabric --retries 5` builds the queue's policy; the
+        # environment must not override it.
+        monkeypatch.delenv("REPRO_SWEEP_RETRIES", raising=False)
+        queue = JobQueue(retry=RetryPolicy(max_attempts=5),
+                         dispatch="fabric")
+        fabric = FabricCoordinator(queue)
+        assert fabric.max_attempts == 5
+        assert fabric.stats()["max_attempts"] == 5
+
 
 class TestLeaseExpiry:
-    def test_expiry_requeues_uncharged_suspect(self):
+    def test_expiry_requeues_uncharged(self):
         result = execute_job_cached(None)
         with running_fabric(ttl=0.4) as (service, client):
             receipt = client.submit({"jobs": [JOB_WIRE]})
             grant = client.lease("doomed")["grants"][0]
             wait_until(lambda: client.fabric()["requeues"] == 1,
                        message="lease reaped and job requeued")
-            stats = client.fabric()
-            assert stats["expired_leases"] == 1
-            assert stats["suspects_queued"] == 1
+            assert client.fabric()["expired_leases"] == 1
+            assert client.stats()["queue"]["pending"] == 1
             # The dead worker's lease is gone.
             with pytest.raises(ServiceError) as err:
                 client.heartbeat(grant["lease"])
             assert err.value.status == 410
-            # Re-granted as a suspect but NOT charged: attempt stays 1.
+            # Any worker gets the job back; the grant counts the lease
+            # round, the job itself is not charged.
             regrant = client.lease("rescuer")["grants"][0]
-            assert regrant["suspect"] is True and regrant["attempt"] == 1
             assert regrant["hash"] == grant["hash"]
+            assert regrant["attempt"] == 2
             client.complete(regrant["lease"],
                             ok_payload(regrant["hash"], result))
             final = client.sweep(receipt["sweep"])
             assert final["state"] == "done"
+            assert client.job(grant["hash"])["attempts"] == 1
             events = list(client.events(receipt["sweep"]))
             kinds = [event["event"] for event in events]
             assert "requeued" in kinds
             requeued = events[kinds.index("requeued")]
             assert requeued["reason"] == "lease_expired"
             assert requeued["worker"] == "doomed"
+            assert requeued["attempt"] == 1
 
     def test_node_death_expires_all_its_leases_together(self):
         result = execute_job_cached(None)
@@ -189,43 +206,38 @@ class TestLeaseExpiry:
             assert len(grants) == 2
             wait_until(lambda: client.fabric()["requeues"] == 2,
                        message="both leases of the dead node reaped")
-            # Innocent siblings: neither job is charged an attempt.
-            g1 = client.lease("w1")["grants"]
-            assert len(g1) == 1  # suspect goes out solo even at capacity 1
-            assert g1[0]["suspect"] is True and g1[0]["attempt"] == 1
-            # Quarantine: a worker holding a suspect lease gets nothing.
-            assert client.lease("w1", capacity=2)["grants"] == []
-            # The second suspect goes solo to a different idle worker.
-            g2 = client.lease("w2")["grants"]
-            assert len(g2) == 1
-            assert g2[0]["suspect"] is True and g2[0]["attempt"] == 1
-            assert g2[0]["hash"] != g1[0]["hash"]
-            for grant in (g1[0], g2[0]):
+            # Node death says nothing about the jobs: both go out again
+            # together, to one worker, neither charged.
+            regrants = client.lease("w1", capacity=2)["grants"]
+            assert sorted(g["hash"] for g in regrants) == \
+                sorted(g["hash"] for g in grants)
+            assert all(g["attempt"] == 2 for g in regrants)
+            for grant in regrants:
                 client.complete(grant["lease"],
                                 ok_payload(grant["hash"], result))
             assert client.sweep(receipt["sweep"])["state"] == "done"
 
-    def test_repeated_suspect_expiry_fails_terminally(self):
-        with running_fabric(ttl=0.3, max_attempts=2) as (service, client):
+    def test_repeated_expiry_fails_after_max_attempts_plus_one(self):
+        retry = RetryPolicy(max_attempts=2)
+        with running_fabric(ttl=0.3, retry=retry) as (service, client):
             receipt = client.submit({"jobs": [JOB_WIRE]})
             job_hash = receipt["jobs"][0]["hash"]
-            # Round 1 is fresh (uncharged on expiry); rounds 2..3 run solo
-            # as suspects and each expiry charges an attempt.
-            for round_no, want_attempt in enumerate([1, 1, 2]):
+            # Every expiry requeues uncharged until the job's leases have
+            # expired max_attempts + 1 = 3 times.
+            for round_no in (1, 2, 3):
                 grants = client.lease(f"crashy-{round_no}")["grants"]
                 assert len(grants) == 1
-                assert grants[0]["attempt"] == want_attempt
-                assert grants[0]["suspect"] is (round_no > 0)
+                assert grants[0]["attempt"] == round_no
                 wait_until(
                     lambda: client.fabric()["leases_in_flight"] == 0,
                     message=f"round {round_no} lease reaped")
             wait_until(
                 lambda: client.sweep(receipt["sweep"])["state"] == "failed",
-                message="sweep marked failed after charged expiries")
+                message="sweep marked failed after repeated expiries")
             job = client.job(job_hash)
             assert job["state"] == "failed"
             assert job["error"]["kind"] == "lease_expired"
-            assert job["error"]["attempts"] == 2
+            assert job["error"]["attempts"] == 3
             # Terminally failed: nothing left to grant.
             assert client.lease("fresh-worker")["grants"] == []
             stats = client.fabric()
@@ -251,7 +263,7 @@ class TestLeaseExpiry:
             assert stats["adopted_results"] == 1
             # Published to the coordinator's store (restart = cache hit).
             assert store.load(job_from_wire(JOB_WIRE)) is not None
-            # The adopted job left the suspect queue: nobody else gets it.
+            # The adopted job is skipped in the queue: nobody else gets it.
             assert client.lease("w2")["grants"] == []
             assert client.stats()["queue"]["executed"] == 1
 
@@ -262,7 +274,7 @@ class TestFabricWorker:
             receipt = client.submit({"jobs": [JOB_WIRE, JOB_WIRE_B]})
             worker = FabricWorker(service.url, worker_id="w1", capacity=2,
                                   poll_seconds=0.05,
-                                  runner=execute_job_cached)
+                                  pool=ThreadPool(execute_job_cached, 2))
             worker.run(exit_on_idle=10)
             final = client.sweep(receipt["sweep"])
             assert final["state"] == "done"
@@ -283,7 +295,8 @@ class TestFabricWorker:
         with running_fabric() as (service, client):
             receipt = client.submit({"jobs": [JOB_WIRE]})
             worker = FabricWorker(service.url, worker_id="w1",
-                                  poll_seconds=0.05, runner=exploding)
+                                  poll_seconds=0.05,
+                                  pool=ThreadPool(exploding))
             worker.run(exit_on_idle=10)
             final = client.sweep(receipt["sweep"])
             assert final["state"] == "failed"
@@ -305,7 +318,8 @@ class TestFabricWorker:
         with running_fabric() as (service, client):
             receipt = client.submit({"jobs": [JOB_WIRE]})
             worker = FabricWorker(service.url, worker_id="w1", store=local,
-                                  poll_seconds=0.05, runner=exploding)
+                                  poll_seconds=0.05,
+                                  pool=ThreadPool(exploding))
             worker.run(exit_on_idle=10)
             assert worker.local_hits == 1 and worker.executed == 0
             assert client.sweep(receipt["sweep"])["state"] == "done"
@@ -320,7 +334,7 @@ class TestFabricWorker:
             receipt = client.submit({"jobs": [JOB_WIRE]})
             worker = FabricWorker(service.url, worker_id="w1",
                                   poll_seconds=0.05,
-                                  runner=execute_job_cached)
+                                  pool=ThreadPool(execute_job_cached))
             worker.run(exit_on_idle=10)
             assert worker.net_drops == 2
             assert client.sweep(receipt["sweep"])["state"] == "done"
@@ -338,7 +352,7 @@ class TestFabricWorker:
             receipt = client.submit({"jobs": [JOB_WIRE]})
             worker = FabricWorker(service.url, worker_id="stalled",
                                   poll_seconds=0.05,
-                                  runner=execute_job_cached)
+                                  pool=ThreadPool(execute_job_cached))
             worker.run(exit_on_idle=10)
             final = client.sweep(receipt["sweep"])
             assert final["state"] == "done"
@@ -359,7 +373,7 @@ class TestFabricWorker:
         with running_fabric(ttl=0.5) as (service, client):
             client.submit({"jobs": [JOB_WIRE]})
             worker = FabricWorker(service.url, worker_id="w1",
-                                  poll_seconds=0.05, runner=slow)
+                                  poll_seconds=0.05, pool=ThreadPool(slow))
             worker.run(exit_on_idle=5)
             stats = client.fabric()
             assert stats["expired_leases"] == 0
@@ -406,7 +420,7 @@ class TestPipelinedWorker:
         with running_fabric() as (service, client):
             receipt = client.submit({"jobs": seeded_wires(2)})
             worker = FabricWorker(service.url, worker_id="w1",
-                                  poll_seconds=0.05, runner=runner)
+                                  poll_seconds=0.05, pool=ThreadPool(runner))
             complete = worker.client.complete
 
             def slow_complete(lease_id, payload):
@@ -435,7 +449,7 @@ class TestPipelinedWorker:
         with running_fabric() as (service, client):
             receipt = client.submit({"jobs": seeded_wires(5)})
             worker = FabricWorker(service.url, worker_id="w1",
-                                  poll_seconds=0.05, runner=runner)
+                                  poll_seconds=0.05, pool=ThreadPool(runner))
             with worker_thread(worker):
                 try:
                     assert blocked.wait(15)
@@ -458,7 +472,7 @@ class TestPipelinedWorker:
         with running_fabric(ttl=0.3) as (service, client):
             receipt = client.submit({"jobs": seeded_wires(2)})
             worker = FabricWorker(service.url, worker_id="w1",
-                                  poll_seconds=0.05, runner=runner)
+                                  poll_seconds=0.05, pool=ThreadPool(runner))
             worker.run(exit_on_idle=5)
             first, second = (member["hash"] for member in receipt["jobs"])
             events = [(e["event"], e.get("job"))
@@ -477,7 +491,7 @@ class TestPipelinedWorker:
             client.submit({"jobs": seeded_wires(2)})
             worker = FabricWorker(service.url, worker_id="w1",
                                   poll_seconds=0.05,
-                                  runner=execute_job_cached)
+                                  pool=ThreadPool(execute_job_cached))
             complete, calls = worker.client.complete, []
 
             def failing_first(lease_id, payload):
@@ -501,7 +515,7 @@ class TestPipelinedWorker:
         with running_fabric() as (service, client):
             client.submit({"jobs": seeded_wires(3)})
             worker = FabricWorker(service.url, worker_id="w1",
-                                  poll_seconds=0.05, runner=runner)
+                                  poll_seconds=0.05, pool=ThreadPool(runner))
             worker.run()
             # Running and waiting grant both finished and uploaded; the
             # third job was never leased.
@@ -521,7 +535,7 @@ class TestPipelinedWorker:
                 receipt = client.submit({"jobs": seeded_wires(40)})
                 worker = FabricWorker(service.url, worker_id="w1",
                                       capacity=4, poll_seconds=0.05,
-                                      runner=execute_job_cached)
+                                      pool=ThreadPool(execute_job_cached, 4))
                 with worker_thread(worker, exit_on_idle=5):
                     final = client.wait(receipt["sweep"], timeout=60)
                 stats = client.fabric()
@@ -547,7 +561,8 @@ class TestPipelinedWorker:
         with running_fabric() as (service, client):
             receipt = client.submit({"jobs": seeded_wires(6)})
             worker = FabricWorker(service.url, worker_id="w1", capacity=2,
-                                  poll_seconds=1.0, runner=runner)
+                                  poll_seconds=1.0,
+                                  pool=ThreadPool(runner, 2))
             worker.run(exit_on_idle=1)
             assert client.sweep(receipt["sweep"])["counts"]["done"] == 6
         gaps = [b - a for a, b in zip(starts, starts[1:])]
@@ -561,7 +576,7 @@ class TestFabricEndToEnd:
             receipt = client.submit({"jobs": [JOB_WIRE, JOB_WIRE_B]})
             worker = FabricWorker(service.url, worker_id="w1", capacity=2,
                                   poll_seconds=0.05,
-                                  runner=execute_job_cached)
+                                  pool=ThreadPool(execute_job_cached, 2))
             worker.run(exit_on_idle=10)
             assert client.sweep(receipt["sweep"])["state"] == "done"
         # "Coordinator restart": a fresh daemon over the same store.

@@ -154,7 +154,6 @@ class TestNodeFaults:
     def test_worker_kill_degrades_to_raise_in_parent(self, monkeypatch):
         # Never a real os._exit outside a worker process: the test session
         # must survive a misconfigured env.
-        monkeypatch.delenv(faults_mod.FABRIC_WORKER_ENV_VAR, raising=False)
         monkeypatch.delenv(faults_mod.STATE_ENV_VAR, raising=False)
         monkeypatch.setattr(faults_mod, "_LOCAL_TOKENS", {})
         with injected(FaultSpec(mode="worker_kill", kernel="jacobi_2d")):

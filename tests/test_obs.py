@@ -9,6 +9,9 @@ endpoints over a real socket.
 """
 
 import json
+import os
+import signal
+import threading
 import time
 
 import pytest
@@ -135,6 +138,48 @@ class TestSpans:
                              "name": "n", "ts": float(i), "dur": 0.0})
         assert len(recorder) <= 10
         assert recorder.peek("t29")  # newest survives
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_fork_child_records_while_a_parent_thread_held_the_lock(self):
+        # Pool workers are forked from a dispatcher thread while other
+        # threads record spans and move counters; the child must not
+        # inherit a lock held by a thread it does not have.
+        held, release = threading.Event(), threading.Event()
+        counter = obs.counter("test_obs_fork_total")
+
+        def hold():
+            with obs.RECORDER._lock, counter._lock:
+                held.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            pid = os.fork()
+            if pid == 0:  # child: record a traced span, bump the counter
+                code = 1
+                try:
+                    with obs.span("in-child") as ctx:
+                        pass
+                    counter.inc()
+                    code = 0 if obs.peek_spans(ctx.trace_id) else 1
+                finally:
+                    os._exit(code)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                time.sleep(0.02)
+            else:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child deadlocked on a telemetry lock")
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            release.set()
+            holder.join()
 
     def test_chrome_trace_export(self):
         spans = [

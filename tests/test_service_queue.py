@@ -1,9 +1,9 @@
 """Queue-core semantics: dedupe, coalescing, cancel, event ordering.
 
-Most tests drive :class:`repro.service.queue.JobQueue` with a pluggable
-runner (no simulations) so they pin down *queue* behaviour precisely; a
-few run real small-tile simulations to prove the default supervised path
-produces genuine results and persists them.
+Most tests drive :class:`repro.service.queue.JobQueue` with a thread-backed
+fake pool (no processes, no simulations) so they pin down *queue*
+behaviour precisely; a few run real small-tile simulations on the default
+supervised pool to prove it produces genuine results and persists them.
 
 There is no pytest-asyncio in the image, so every test owns its loop via
 ``asyncio.run``.
@@ -24,7 +24,9 @@ from repro.service import (
     QueueError,
 )
 from repro.sweep import ResultStore, SweepJob, execute_job
-from tests.conftest import small_tile
+from repro.sweep.faults import FaultSpec, injected
+from repro.sweep.supervisor import RetryPolicy, SingleJobOutcome
+from tests.conftest import ThreadPool, small_tile
 
 
 def job_for(kernel="jacobi_2d", variant="base", **kwargs):
@@ -33,7 +35,7 @@ def job_for(kernel="jacobi_2d", variant="base", **kwargs):
 
 
 def fake_result(job):
-    """A cheap but real KernelRunResult for runner-injected tests."""
+    """A cheap but real KernelRunResult for fake-pool tests."""
     return execute_job(job_for())
 
 
@@ -73,6 +75,42 @@ class TestEventOrdering:
         # Events carry a global monotonic sequence number.
         seqs = [event["seq"] for event in events]
         assert seqs == sorted(seqs)
+
+    def test_ladder_progress_precedes_the_terminal_event(self):
+        # The pool's ladder steps (an in-band retry, and a crash retried
+        # then degraded to the Python engine) reach the stream as progress
+        # events before the job's terminal event.
+        flaky = job_for("j2d5pt")
+        crashy = job_for("jacobi_2d", "saris")
+
+        async def main():
+            queue = await JobQueue(workers=1, retry=RetryPolicy(
+                max_attempts=2, backoff_seconds=0.001)).start()
+            try:
+                sweep = await queue.submit([flaky, crashy])
+                return await drain(queue, sweep.id)
+            finally:
+                await queue.close()
+
+        with injected(FaultSpec(mode="flaky", kernel="j2d5pt", n=1),
+                      FaultSpec(mode="segfault", kernel="jacobi_2d",
+                                engine="native")):
+            events = asyncio.run(main())
+
+        def steps(job):
+            mine = [e for e in events if e.get("job") == job.content_hash()]
+            done = kinds(mine).index("done")
+            ladder = [(e["phase"], e["error"]) for e in mine[:done]
+                      if e["event"] == "progress" and "error" in e]
+            return ladder, mine[done]
+
+        ladder, done = steps(flaky)
+        assert ladder == [("retry", "InjectedFault")]
+        assert done["attempts"] == 2 and done["degraded"] is False
+        ladder, done = steps(crashy)
+        assert ladder == [("retry", "WorkerCrash"),
+                          ("degraded", "WorkerCrash")]
+        assert done["attempts"] == 3 and done["degraded"] is True
 
     def test_subscribe_from_index_skips_replayed_history(self):
         async def main():
@@ -161,11 +199,11 @@ class TestDedupe:
         async def warm():
             boom = pytest.fail  # a simulation here would be a regression
 
-            def runner(_job, _report):
+            def runner(_job):
                 boom("warm restart must not simulate")
 
             queue = await JobQueue(store=ResultStore(tmp_path), workers=1,
-                                   runner=runner).start()
+                                   pool=ThreadPool(runner)).start()
             try:
                 sweep = await queue.submit([job])
                 events = await drain(queue, sweep.id)
@@ -187,13 +225,13 @@ class TestCoalescing:
         release = threading.Event()
         runs = []
 
-        def runner(job, report):
+        def runner(job):
             runs.append(job.content_hash())
             release.wait(timeout=30)
             return fake_result(job)
 
         async def main():
-            queue = await JobQueue(workers=1, runner=runner).start()
+            queue = await JobQueue(workers=1, pool=ThreadPool(runner)).start()
             try:
                 first = await queue.submit([job_for()])
                 # Let the worker pick the job up and block inside runner.
@@ -225,13 +263,13 @@ class TestCancel:
         release = threading.Event()
         started = threading.Event()
 
-        def runner(job, report):
+        def runner(job):
             started.set()
             release.wait(timeout=30)
             return fake_result(job)
 
         async def main():
-            queue = await JobQueue(workers=1, runner=runner).start()
+            queue = await JobQueue(workers=1, pool=ThreadPool(runner)).start()
             try:
                 running = job_for("jacobi_2d")
                 queued = job_for("j2d5pt")
@@ -284,13 +322,13 @@ class TestCancel:
         release = threading.Event()
         started = threading.Event()
 
-        def runner(job, report):
+        def runner(job):
             started.set()
             release.wait(timeout=30)
             return fake_result(job)
 
         async def main():
-            queue = await JobQueue(workers=1, runner=runner).start()
+            queue = await JobQueue(workers=1, pool=ThreadPool(runner)).start()
             try:
                 job = job_for()
                 first = await queue.submit([job])
@@ -328,13 +366,13 @@ class TestCancel:
         release = threading.Event()
         started = threading.Event()
 
-        def runner(job, report):
+        def runner(job):
             started.set()
             release.wait(timeout=30)
             return fake_result(job)
 
         async def main():
-            queue = await JobQueue(workers=1, runner=runner).start()
+            queue = await JobQueue(workers=1, pool=ThreadPool(runner)).start()
             try:
                 blocker = job_for("jacobi_2d")
                 shared = job_for("j2d5pt")
@@ -361,11 +399,11 @@ class TestCancel:
 
 class TestFailures:
     def test_failed_job_fans_structured_error(self):
-        def runner(job, report):
+        def runner(job):
             raise ValueError("synthetic runner explosion")
 
         async def main():
-            queue = await JobQueue(workers=1, runner=runner).start()
+            queue = await JobQueue(workers=1, pool=ThreadPool(runner)).start()
             try:
                 sweep = await queue.submit([job_for()])
                 events = await drain(queue, sweep.id)
@@ -386,14 +424,14 @@ class TestFailures:
     def test_failed_jobs_are_not_memoized(self):
         calls = []
 
-        def runner(job, report):
+        def runner(job):
             calls.append(1)
             if len(calls) == 1:
                 raise ValueError("first time fails")
             return fake_result(job)
 
         async def main():
-            queue = await JobQueue(workers=1, runner=runner).start()
+            queue = await JobQueue(workers=1, pool=ThreadPool(runner)).start()
             try:
                 first = await queue.submit([job_for()])
                 await drain(queue, first.id)
@@ -426,12 +464,13 @@ class TestLifecycleAndStats:
         asyncio.run(main())
 
     def test_stats_counts_states_and_progress_report_from_thread(self):
-        def runner(job, report):
-            report("warmup", step=1)
-            return fake_result(job)
+        def runner(job):
+            return SingleJobOutcome(result=fake_result(job), progress=[
+                {"phase": "warmup", "step": 1}])
 
         async def main():
-            queue = await JobQueue(workers=2, runner=runner).start()
+            queue = await JobQueue(workers=2,
+                                   pool=ThreadPool(runner, 2)).start()
             try:
                 sweep = await queue.submit([job_for("jacobi_2d"),
                                             job_for("j2d5pt")])

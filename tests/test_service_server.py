@@ -22,15 +22,14 @@ from repro.service import (
     ServiceError,
 )
 from repro.sweep import ResultStore, execute_job
-from tests.conftest import small_tile
+from tests.conftest import ThreadPool, small_tile
 
 JOB_WIRE = {"kernel": "jacobi_2d", "variant": "base",
             "tile_shape": list(small_tile("jacobi_2d"))}
 
 
-def fast_runner(job, report):
+def fast_runner(job):
     """Runner for wire-semantics tests: instant, real result shape."""
-    report("warmup")
     return execute_job_cached(job)
 
 
@@ -50,13 +49,16 @@ def execute_job_cached(job):
 @contextlib.contextmanager
 def running_server(runner=fast_runner, store=None, token=None, workers=2,
                    stats_extra=None):
-    """Boot a daemon in a background loop thread; yield (service, client)."""
+    """Boot a daemon in a background loop thread; yield (service, client).
+
+    ``runner(job)`` runs each job on a thread-backed fake pool."""
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
 
     async def boot():
-        queue = JobQueue(store=store, workers=workers, runner=runner)
+        queue = JobQueue(store=store, workers=workers,
+                         pool=ThreadPool(runner, workers))
         service = ReproService(queue, port=0, token=token,
                                stats_extra=stats_extra)
         return await service.start()
@@ -121,7 +123,7 @@ class TestHttpRoundtrip:
     def test_cancel_endpoint(self):
         release = threading.Event()
 
-        def slow_runner(job, report):
+        def slow_runner(job):
             release.wait(timeout=30)
             return execute_job_cached(job)
 
@@ -239,7 +241,7 @@ class TestStats:
             receipt = client.submit({"jobs": [JOB_WIRE]})
             client.wait(receipt["sweep"])
 
-        def exploding_runner(job, report):
+        def exploding_runner(job):
             raise AssertionError("warm restart must not simulate")
 
         with running_server(runner=exploding_runner,
@@ -261,8 +263,7 @@ class TestStreamReconnect:
         started = threading.Event()
         release = threading.Event()
 
-        def gated_runner(job, report):
-            report("warmup")
+        def gated_runner(job):
             started.set()
             release.wait(timeout=30)
             return execute_job_cached(job)
@@ -282,7 +283,7 @@ class TestStreamReconnect:
                 tracked, service.host, service.port)
 
         async def boot():
-            queue = JobQueue(workers=1, runner=gated_runner)
+            queue = JobQueue(workers=1, pool=ThreadPool(gated_runner))
             service = ReproService(queue, port=0)
             await service.start()
             state["service"] = service
@@ -311,7 +312,7 @@ class TestStreamReconnect:
             seen = []
             for event in stream:
                 seen.append(event)
-                if event["event"] == "progress":
+                if event["event"] == "running":
                     break  # mid-stream, job still running
             started.wait(timeout=30)
             asyncio.run_coroutine_threadsafe(blip(), loop).result(10)

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -27,6 +28,7 @@ from repro.sweep.supervisor import (
     TIMEOUT_ENV_VAR,
     JobFailure,
     RetryPolicy,
+    SupervisedPool,
     SweepJobError,
 )
 from tests.conftest import SMALL_TILES, small_tile
@@ -350,6 +352,65 @@ class TestResume:
         with pytest.raises(KeyboardInterrupt):
             run_sweep(job_list(), workers=2, progress=interrupt)
         assert set(multiprocessing.active_children()) <= before
+
+
+class TestStreamingPool:
+    """The long-lived pool behind sweeps, ``repro serve`` and ``repro
+    worker``: submit from any thread, close at any time."""
+
+    def test_concurrent_submitters_each_get_their_own_outcome(self):
+        # More submitting threads and workers than cores and a tiny switch
+        # interval: no job may be lost, duplicated or resolved to another
+        # job's outcome.
+        jobs = [SweepJob.make(k, v, tile_shape=SMALL_TILES[k])
+                for k in SMALL_TILES for v in ("saris", "base")]
+        futures, lock = {}, threading.Lock()
+        pool = SupervisedPool(3, RetryPolicy())
+
+        def submit(chunk):
+            for job in chunk:
+                future = pool.submit(job)
+                with lock:
+                    futures[future] = job
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit, args=(jobs[i::4],))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            outcomes = {job.label: future.result(timeout=120)
+                        for future, job in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        assert sorted(outcomes) == sorted(job.label for job in jobs)
+        for label, outcome in outcomes.items():
+            assert outcome.failure is None
+            assert f"{outcome.result.kernel}/{outcome.result.variant}" \
+                == label
+
+    def test_close_ends_a_running_job_and_cancels_the_rest(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        with injected(FaultSpec(mode="hang", kernel="jacobi_2d",
+                                hang_seconds=60.0)):
+            pool = SupervisedPool(1, RetryPolicy())
+            futures = [pool.submit(small_job(kernel))
+                       for kernel in ("jacobi_2d", "j2d5pt", "box2d1r")]
+            time.sleep(0.5)  # the hang is running, one job waits behind it
+            start = time.monotonic()
+            pool.close()
+        assert time.monotonic() - start < 5.0
+        assert all(future.cancelled() for future in futures)
+        assert set(multiprocessing.active_children()) <= before
+        with pytest.raises(RuntimeError):
+            pool.submit(small_job())
 
 
 def _running(pid):
