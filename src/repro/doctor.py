@@ -49,10 +49,13 @@ def _probe_service(url: str) -> Dict[str, object]:
     """Fabric/queue health of a (possibly unreachable) daemon."""
     from repro.service.client import ServiceClient, ServiceError
 
+    client = ServiceClient(url, timeout=5.0)
     try:
-        stats = ServiceClient(url, timeout=5.0).stats()
+        stats = client.stats()
     except ServiceError as exc:
         return {"url": url, "reachable": False, "error": str(exc)}
+    finally:
+        client.close()
     return {
         "url": url,
         "reachable": True,

@@ -1,9 +1,11 @@
 """Blocking stdlib client for the sweep daemon (``repro submit`` / ``watch``).
 
 Pure ``http.client`` + ``json`` — usable from scripts, tests and the CLI
-without any new dependency.  One connection per request (the server is
-``Connection: close``); the SSE stream holds its connection open and yields
-parsed event dictionaries as they arrive.
+without any new dependency.  Requests reuse one kept-alive connection per
+thread and per process (a forked child opens its own), and a reused
+connection the daemon has closed meanwhile is replaced once, transparently.
+Each SSE stream holds a connection of its own and yields parsed event
+dictionaries as they arrive.
 
 The daemon address comes from the constructor or the ``REPRO_SERVICE_URL``
 environment variable; the api key from the constructor or
@@ -15,8 +17,9 @@ from __future__ import annotations
 import json
 import os
 import socket
+import threading
 import time
-from http.client import HTTPConnection
+from http.client import HTTPConnection, HTTPException
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
@@ -54,6 +57,8 @@ class ServiceClient:
         self.timeout = timeout
         self.token = (token if token is not None
                       else os.environ.get(TOKEN_ENV_VAR, "").strip() or None)
+        #: One kept-alive connection per (process, thread).
+        self._connections: Dict[Tuple[int, int], HTTPConnection] = {}
 
     # -- plumbing -----------------------------------------------------------
 
@@ -63,37 +68,68 @@ class ServiceClient:
             headers["Authorization"] = f"Bearer {self.token}"
         return headers
 
+    def _connection(self) -> HTTPConnection:
+        """The calling thread's connection; a forked child never shares
+        its parent's socket."""
+        key = (os.getpid(), threading.get_ident())
+        connection = self._connections.get(key)
+        if connection is None:
+            connection = self._connections[key] = HTTPConnection(
+                self.host, self.port, timeout=self.timeout)
+        return connection
+
+    def close(self) -> None:
+        """Close every connection the client holds (a later request opens
+        a new one)."""
+        for connection in list(self._connections.values()):
+            connection.close()
+
     def _request(self, method: str, path: str,
-                 payload: Optional[dict] = None,
-                 timeout: Optional[float] = None) -> dict:
-        connection = HTTPConnection(self.host, self.port,
-                                    timeout=timeout or self.timeout)
-        try:
-            body = None
-            headers = self._headers()
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
+                 payload: Optional[dict] = None, text: bool = False):
+        """One request on this thread's connection: the parsed JSON answer,
+        or with ``text`` the raw body.  An error status raises
+        :class:`ServiceError` with the daemon's message."""
+        body = None
+        headers = self._headers()
+        if text:
+            headers["Accept"] = "text/plain"
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = self._connection()
+        reused = connection.sock is not None
+        while True:
             try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                raw = response.read()
-            except (ConnectionError, OSError) as exc:
+                try:
+                    connection.request(method, path, body=body,
+                                       headers=headers)
+                    response = connection.getresponse()
+                    raw = response.read()
+                    break
+                except BaseException:
+                    connection.close()  # its state is unknown now
+                    raise
+            except (OSError, HTTPException) as exc:
+                if reused and isinstance(exc, ConnectionError):
+                    # The daemon closed the idle connection before this
+                    # request reached it: reconnect once.
+                    reused = False
+                    continue
                 raise ServiceError(
                     f"cannot reach the sweep daemon at "
                     f"http://{self.host}:{self.port} ({exc})") from None
-            try:
-                parsed = json.loads(raw.decode("utf-8")) if raw else {}
-            except ValueError:
-                parsed = {"error": raw.decode("utf-8", "replace")[:200]}
-            if response.status >= 400:
-                raise ServiceError(
-                    f"{method} {path} -> {response.status}: "
-                    f"{parsed.get('error', 'unknown error')}",
-                    status=response.status)
-            return parsed
-        finally:
-            connection.close()
+        if text and response.status < 400:
+            return raw.decode("utf-8", "replace")
+        try:
+            parsed = json.loads(raw.decode("utf-8")) if raw else {}
+        except ValueError:
+            parsed = {"error": raw.decode("utf-8", "replace")[:200]}
+        if response.status >= 400:
+            raise ServiceError(
+                f"{method} {path} -> {response.status}: "
+                f"{parsed.get('error', 'unknown error')}",
+                status=response.status)
+        return parsed
 
     # -- endpoints ----------------------------------------------------------
 
@@ -123,26 +159,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """Raw Prometheus text exposition from ``GET /v1/metrics``."""
-        connection = HTTPConnection(self.host, self.port,
-                                    timeout=self.timeout)
-        try:
-            headers = self._headers()
-            headers["Accept"] = "text/plain"
-            try:
-                connection.request("GET", "/v1/metrics", headers=headers)
-                response = connection.getresponse()
-                raw = response.read()
-            except (ConnectionError, OSError) as exc:
-                raise ServiceError(
-                    f"cannot reach the sweep daemon at "
-                    f"http://{self.host}:{self.port} ({exc})") from None
-            if response.status >= 400:
-                raise ServiceError(
-                    f"GET /v1/metrics -> {response.status}",
-                    status=response.status)
-            return raw.decode("utf-8", "replace")
-        finally:
-            connection.close()
+        return self._request("GET", "/v1/metrics", text=True)
 
     # -- fabric (worker-side protocol) --------------------------------------
 

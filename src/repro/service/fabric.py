@@ -151,6 +151,9 @@ class FabricCoordinator:
         #: Expired leases per job hash, until the job terminates.
         self._expiries: Dict[str, int] = {}
         self._lease_seq = itertools.count(1)
+        #: Lease ids are ``l<seq>-<tag>``: the sequence makes them unique
+        #: within this coordinator, the tag across its restarts.
+        self._lease_tag = secrets.token_hex(3)
         self._reaper: Optional[asyncio.Task] = None
         self.started_at = time.time()
         # Lifetime counters (served by /v1/stats and repro doctor).
@@ -227,7 +230,7 @@ class FabricCoordinator:
                    worker: WorkerInfo) -> Dict[str, object]:
         entry = self.queue._jobs[job_hash]
         lease = Lease(
-            id=f"l{next(self._lease_seq):04d}-{secrets.token_hex(3)}",
+            id=f"l{next(self._lease_seq):04d}-{self._lease_tag}",
             job_hash=job_hash, worker=worker.id, ttl=self.ttl,
             attempt=self._expiries.get(job_hash, 0) + 1,
             granted_at=time.time(),

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import secrets
 import time
 from dataclasses import dataclass, field
@@ -185,8 +186,11 @@ class SweepEntry:
     #: span id; ``None`` when telemetry was disabled at submit.
     trace_id: Optional[str] = None
     root_span: Optional[str] = None
-    #: Span records uploaded by remote fabric workers for this trace.
-    spans: List[Dict[str, object]] = field(default_factory=list, repr=False)
+    #: Span records uploaded by remote fabric workers for this trace, one
+    #: JSON array per upload: they are read only when the trace is asked
+    #: for, and as text they hold a fifth of the memory of parsed records
+    #: in a daemon that keeps every sweep it served.
+    spans: List[str] = field(default_factory=list, repr=False)
 
     def status_dict(self, queue: "JobQueue") -> Dict[str, object]:
         """JSON-safe sweep summary (``GET /v1/sweeps/<id>``)."""
@@ -483,12 +487,11 @@ class JobQueue:
         sweep = self._sweeps.get(self._trace_to_sweep.get(trace_id, ""))
         if sweep is None:
             return 0
-        accepted = 0
-        for span in spans:
-            if isinstance(span, dict) and span.get("trace") == trace_id:
-                sweep.spans.append(dict(span))
-                accepted += 1
-        return accepted
+        accepted = [span for span in spans
+                    if isinstance(span, dict) and span.get("trace") == trace_id]
+        if accepted:
+            sweep.spans.append(json.dumps(accepted))
+        return len(accepted)
 
     def trace_spans(self, sweep_id: str) -> Dict[str, object]:
         """Every span of one sweep's trace: local records + worker uploads.
@@ -501,7 +504,9 @@ class JobQueue:
         spans: List[Dict[str, object]] = []
         seen: Set[str] = set()
         if sweep.trace_id is not None:
-            for span in list(sweep.spans) + obs.peek_spans(sweep.trace_id):
+            uploaded = [span for upload in sweep.spans
+                        for span in json.loads(upload)]
+            for span in uploaded + obs.peek_spans(sweep.trace_id):
                 span_id = str(span.get("span"))
                 if span_id in seen:
                     continue

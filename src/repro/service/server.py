@@ -36,9 +36,18 @@ The SSE stream replays the sweep's event history from ``?from=<index>``
 (default 0) and then follows live, with ``id:`` lines carrying the event
 index so a dropped client can resume where it left off; a comment
 heartbeat (``: keepalive``) flows every :data:`HEARTBEAT_SECONDS` so
-proxies do not reap idle connections.  Connections are single-request
-(``Connection: close``) — sweeps are submitted once and then streamed, so
-keep-alive would buy nothing for the cost of pipelining edge cases.
+proxies do not reap idle connections.  A stream has a connection of its
+own, which ends with it; the response head and every event already in the
+log go out in one write.
+
+Every other answer keeps an HTTP/1.1 connection open for the client's next
+request: a fabric worker leases, renews and uploads on every job, and a
+closed-loop client submits a sweep per request, so a fresh TCP connection
+per request costs more CPU than the request itself.  Requests on one
+connection are served one at a time; an idle connection is closed after
+:data:`KEEPALIVE_IDLE_SECONDS`.  ``Connection: close``, HTTP/1.0 clients,
+malformed requests and oversized bodies end the connection after the
+answer.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import asyncio
 import json
 import os
 import re
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__, obs
@@ -68,12 +77,38 @@ DEFAULT_PORT = 8765
 #: Seconds between SSE comment heartbeats on an idle stream.
 HEARTBEAT_SECONDS = 15.0
 
+#: Seconds a kept-alive connection may sit idle before the daemon closes it.
+KEEPALIVE_IDLE_SECONDS = 15.0
+
+#: Seconds :meth:`ReproService.close` gives requests in progress (event
+#: streams, too) to end on their own before it cancels them.
+CLOSE_GRACE_SECONDS = 1.0
+
 #: Request size limits (defensive; this is a service, not a file server).
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 32768
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _TOKEN_RE = re.compile(r"^Bearer\s+(?P<token>\S+)$", re.IGNORECASE)
+
+#: Compact JSON through the C encoder (an ``indent`` forces the pure-Python
+#: one); sorted keys keep answers byte-stable.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+_OBS_CONNECTIONS = obs.counter("repro_http_connections_total",
+                               "HTTP connections accepted by the daemon")
+_OBS_REQUESTS = obs.counter("repro_http_requests_total",
+                            "HTTP requests answered by the daemon")
+
+_SSE_HEAD = (b"HTTP/1.1 200 OK\r\n"
+             b"Content-Type: text/event-stream; charset=utf-8\r\n"
+             b"Cache-Control: no-cache\r\nConnection: close\r\n\r\n")
+
+_JSON_TYPE = "application/json; charset=utf-8"
+_TEXT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: An answer: status, content type and body.
+Response = Tuple[int, str, bytes]
 
 
 class HttpError(Exception):
@@ -89,6 +124,21 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             401: "Unauthorized", 404: "Not Found",
             405: "Method Not Allowed", 410: "Gone",
             413: "Payload Too Large", 500: "Internal Server Error"}
+
+
+def _json_response(status: int, payload) -> Response:
+    return status, _JSON_TYPE, (_JSON.encode(payload) + "\n").encode("utf-8")
+
+
+def _hang_up(writer: asyncio.StreamWriter) -> None:
+    """Close a connection for the client too.  Shutting the socket down,
+    not just closing this process's fd, matters: a pool worker forked
+    meanwhile holds a copy of it."""
+    try:
+        writer.write_eof()
+    except OSError:
+        pass
+    writer.close()
 
 
 class ReproService:
@@ -115,6 +165,11 @@ class ReproService:
         #: tied to the server's.
         self.fabric = fabric
         self._server: Optional[asyncio.AbstractServer] = None
+        self._closing = False
+        #: Every open connection's handler, and the connections waiting
+        #: for their next request (closed at once by :meth:`close`).
+        self._connections: Set[asyncio.Task] = set()
+        self._idle: Set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -130,19 +185,33 @@ class ReproService:
         return self
 
     async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, close idle connections, then the queue; give
+        requests in progress :data:`CLOSE_GRACE_SECONDS` to end."""
+        self._closing = True
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for writer in list(self._idle):
+            _hang_up(writer)
         if self.fabric is not None:
             await self.fabric.close()
-        await self.queue.close()
+        await self.queue.close()  # open event streams see it and end
+        if self._connections:
+            _done, late = await asyncio.wait(self._connections,
+                                             timeout=CLOSE_GRACE_SECONDS)
+            for task in late:
+                task.cancel()
+            await asyncio.gather(*late, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
 
     async def serve_forever(self) -> None:
         """Run until cancelled (the CLI wraps this with signal handling)."""
         if self._server is None:
             await self.start()
-        await self._server.serve_forever()
+        # Not Server.serve_forever(): on cancellation it waits for every
+        # connection to close, kept-alive idle ones included.
+        await asyncio.get_running_loop().create_future()
 
     @property
     def url(self) -> str:
@@ -152,53 +221,80 @@ class ReproService:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        """Serve one connection: its requests one at a time, until the
+        client or the answer ends it or it idles out."""
+        task = asyncio.current_task()
+        self._connections.add(task)
+        _OBS_CONNECTIONS.inc()
+        loop = asyncio.get_running_loop()
         try:
-            try:
-                method, target, headers, body = await self._read_request(
-                    reader)
-            except HttpError as exc:
-                await self._send_json(writer, exc.status,
-                                      {"error": exc.message})
-                return
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            try:
-                await self._dispatch(writer, method, target, headers, body)
-            except HttpError as exc:
-                await self._send_json(writer, exc.status,
-                                      {"error": exc.message})
-            except (ConnectionError, asyncio.CancelledError):
-                raise
-            except Exception as exc:  # noqa: BLE001 - must answer something
-                await self._send_json(
-                    writer, 500,
-                    {"error": f"{type(exc).__name__}: {exc}"})
-        except (ConnectionError, BrokenPipeError):
+            while not self._closing:
+                self._idle.add(writer)
+                timer = loop.call_later(KEEPALIVE_IDLE_SECONDS, _hang_up,
+                                        writer)
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    timer.cancel()
+                    self._idle.discard(writer)
+                if not request_line:
+                    return
+                _OBS_REQUESTS.inc()
+                if not await self._answer(request_line, reader, writer):
+                    return
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections.discard(task)
+            _hang_up(writer)
             try:
-                # Shut the socket down, not just this process's fd: a pool
-                # worker forked meanwhile holds a copy of it.
-                writer.write_eof()
-            except OSError:
-                pass
-            try:
-                writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
+            except ConnectionError:
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> Tuple[str, str, Dict[str, str], bytes]:
-        request_line = await reader.readline()
-        if not request_line:
-            raise ConnectionError("client went away")
+    async def _answer(self, request_line: bytes,
+                      reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> bool:
+        """Read and answer one request; returns whether the connection
+        stays open for the next one."""
+        try:
+            method, target, version, headers, body = \
+                await self._read_request(request_line, reader)
+        except HttpError as exc:
+            # The rest of the stream cannot be trusted to frame a request.
+            await self._respond(writer, _json_response(
+                exc.status, {"error": exc.message}), keep_alive=False)
+            return False
+        tokens = {token.strip() for token in
+                  headers.get("connection", "").lower().split(",")}
+        # A Transfer-Encoding body is never read: it must not be taken for
+        # the next request.
+        keep_alive = (version == "HTTP/1.1" and "close" not in tokens
+                      and "transfer-encoding" not in headers)
+        try:
+            response = await self._dispatch(writer, method, target, headers,
+                                            body)
+        except HttpError as exc:
+            response = _json_response(exc.status, {"error": exc.message})
+        except (ConnectionError, asyncio.CancelledError):
+            raise
+        except Exception as exc:  # noqa: BLE001 - must answer something
+            response = _json_response(
+                500, {"error": f"{type(exc).__name__}: {exc}"})
+        if response is None:  # an event stream, which ends its connection
+            return False
+        await self._respond(writer, response, keep_alive)
+        return keep_alive
+
+    async def _read_request(self, request_line: bytes,
+                            reader: asyncio.StreamReader
+                            ) -> Tuple[str, str, str, Dict[str, str], bytes]:
         if len(request_line) > MAX_REQUEST_LINE:
             raise HttpError(400, "request line too long")
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise HttpError(400, "malformed request line")
-        method, target = parts[0].upper(), parts[1]
+        method, target, version = parts[0].upper(), parts[1], parts[2]
         headers: Dict[str, str] = {}
         total = 0
         while True:
@@ -216,10 +312,12 @@ class ReproService:
             length = int(length)
         except ValueError:
             raise HttpError(400, "invalid Content-Length") from None
+        if length < 0:
+            raise HttpError(400, "invalid Content-Length")
         if length > MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+        return method, target, version, headers, body
 
     def _check_auth(self, headers: Dict[str, str]) -> None:
         if self.token is None:
@@ -237,51 +335,47 @@ class ReproService:
     # -- routing ------------------------------------------------------------
 
     async def _dispatch(self, writer, method: str, target: str,
-                        headers: Dict[str, str], body: bytes) -> None:
+                        headers: Dict[str, str], body: bytes
+                        ) -> Optional[Response]:
+        """Route one request to its answer (``None``: an event stream,
+        already written)."""
         split = urlsplit(target)
         path = split.path.rstrip("/") or "/"
-        query = parse_qs(split.query)
         if path == "/v1/healthz":
-            await self._send_json(writer, 200, {"ok": True,
-                                                "version": __version__})
-            return
+            return _json_response(200, {"ok": True, "version": __version__})
         self._check_auth(headers)
         if path == "/v1/sweeps" and method == "POST":
-            await self._post_sweeps(writer, body)
-        elif path == "/v1/stats" and method == "GET":
-            await self._get_stats(writer)
-        elif path == "/v1/metrics" and method == "GET":
-            await self._send_text(writer, 200, obs.render_prometheus())
-        elif path == "/v1/fabric" and method == "GET":
-            await self._send_json(writer, 200, self._require_fabric().stats())
-        elif path == "/v1/fabric/lease" and method == "POST":
-            await self._post_lease(writer, body)
-        elif path.startswith("/v1/fabric/leases/") and method == "POST":
+            return await self._post_sweeps(body)
+        if path == "/v1/stats" and method == "GET":
+            return self._get_stats()
+        if path == "/v1/metrics" and method == "GET":
+            return 200, _TEXT_TYPE, obs.render_prometheus().encode("utf-8")
+        if path == "/v1/fabric" and method == "GET":
+            return _json_response(200, self._require_fabric().stats())
+        if path == "/v1/fabric/lease" and method == "POST":
+            return self._post_lease(body)
+        if path.startswith("/v1/fabric/leases/") and method == "POST":
             rest = path[len("/v1/fabric/leases/"):]
             lease_id, _sep, action = rest.partition("/")
             if action == "heartbeat":
-                await self._post_heartbeat(writer, lease_id)
-            elif action == "complete":
-                await self._post_complete(writer, lease_id, body)
-            else:
-                raise HttpError(404, f"no route for {method} {path}")
-        elif path.startswith("/v1/jobs/") and method == "GET":
-            await self._get_job(writer, path[len("/v1/jobs/"):])
-        elif path.startswith("/v1/sweeps/"):
+                return self._post_heartbeat(lease_id)
+            if action == "complete":
+                return self._post_complete(lease_id, body)
+        if path.startswith("/v1/jobs/") and method == "GET":
+            return self._get_job(path[len("/v1/jobs/"):])
+        if path.startswith("/v1/sweeps/"):
             rest = path[len("/v1/sweeps/"):]
             if rest.endswith("/events") and method == "GET":
                 await self._stream_events(writer, rest[:-len("/events")],
-                                          query)
-            elif rest.endswith("/trace") and method == "GET":
-                await self._get_trace(writer, rest[:-len("/trace")])
-            elif "/" not in rest and method == "GET":
-                await self._get_sweep(writer, rest)
-            elif "/" not in rest and method == "DELETE":
-                await self._delete_sweep(writer, rest)
-            else:
-                raise HttpError(404, f"no route for {method} {path}")
-        else:
-            raise HttpError(404, f"no route for {method} {path}")
+                                          parse_qs(split.query))
+                return None
+            if rest.endswith("/trace") and method == "GET":
+                return self._get_trace(rest[:-len("/trace")])
+            if "/" not in rest and method == "GET":
+                return self._get_sweep(rest)
+            if "/" not in rest and method == "DELETE":
+                return self._delete_sweep(rest)
+        raise HttpError(404, f"no route for {method} {path}")
 
     # -- fabric endpoints ---------------------------------------------------
 
@@ -301,7 +395,7 @@ class ReproService:
             raise HttpError(400, "request body must be a JSON object")
         return payload
 
-    async def _post_lease(self, writer, body: bytes) -> None:
+    def _post_lease(self, body: bytes) -> Response:
         from repro.service.fabric import FabricError
 
         fabric = self._require_fabric()
@@ -318,22 +412,17 @@ class ReproService:
             grants = fabric.grant(worker, capacity=capacity)
         except FabricError as exc:
             raise HttpError(400, str(exc)) from None
-        await self._send_json(writer, 200, {"worker": worker,
-                                            "ttl": fabric.ttl,
-                                            "grants": grants})
+        return _json_response(200, {"worker": worker, "ttl": fabric.ttl,
+                                    "grants": grants})
 
-    async def _post_heartbeat(self, writer, lease_id: str) -> None:
-        fabric = self._require_fabric()
-        receipt = fabric.heartbeat(lease_id)
+    def _post_heartbeat(self, lease_id: str) -> Response:
+        receipt = self._require_fabric().heartbeat(lease_id)
         if receipt.get("ok"):
-            await self._send_json(writer, 200, receipt)
-        else:
-            await self._send_json(
-                writer, 410, dict(receipt,
-                                  error=receipt.get("reason", "lease gone")))
+            return _json_response(200, receipt)
+        return _json_response(410, dict(
+            receipt, error=receipt.get("reason", "lease gone")))
 
-    async def _post_complete(self, writer, lease_id: str,
-                             body: bytes) -> None:
+    def _post_complete(self, lease_id: str, body: bytes) -> Response:
         from repro.service.fabric import FabricError
 
         fabric = self._require_fabric()
@@ -342,11 +431,11 @@ class ReproService:
             receipt = fabric.complete(lease_id, payload)
         except FabricError as exc:
             raise HttpError(400, str(exc)) from None
-        await self._send_json(writer, 200, receipt)
+        return _json_response(200, receipt)
 
     # -- endpoints ----------------------------------------------------------
 
-    async def _post_sweeps(self, writer, body: bytes) -> None:
+    async def _post_sweeps(self, body: bytes) -> Response:
         try:
             payload = json.loads(body.decode("utf-8") or "null")
         except (UnicodeDecodeError, ValueError):
@@ -359,7 +448,7 @@ class ReproService:
             sweep = await self.queue.submit(jobs)
         except QueueError as exc:
             raise HttpError(400, str(exc)) from None
-        await self._send_json(writer, 202, {
+        return _json_response(202, {
             "sweep": sweep.id,
             "jobs": [self.queue.job_status(job_hash)
                      for job_hash in sweep.job_hashes],
@@ -368,35 +457,35 @@ class ReproService:
             "events_url": f"/v1/sweeps/{sweep.id}/events",
         })
 
-    async def _get_job(self, writer, job_hash: str) -> None:
+    def _get_job(self, job_hash: str) -> Response:
         try:
             payload = self.queue.job_status(job_hash, include_result=True)
         except KeyError:
             raise HttpError(404, f"unknown job hash {job_hash!r}") from None
-        await self._send_json(writer, 200, payload)
+        return _json_response(200, payload)
 
-    async def _get_sweep(self, writer, sweep_id: str) -> None:
+    def _get_sweep(self, sweep_id: str) -> Response:
         try:
             payload = self.queue.sweep_status(sweep_id)
         except KeyError:
             raise HttpError(404, f"unknown sweep {sweep_id!r}") from None
-        await self._send_json(writer, 200, payload)
+        return _json_response(200, payload)
 
-    async def _delete_sweep(self, writer, sweep_id: str) -> None:
+    def _delete_sweep(self, sweep_id: str) -> Response:
         try:
             payload = self.queue.cancel(sweep_id)
         except KeyError:
             raise HttpError(404, f"unknown sweep {sweep_id!r}") from None
-        await self._send_json(writer, 200, payload)
+        return _json_response(200, payload)
 
-    async def _get_trace(self, writer, sweep_id: str) -> None:
+    def _get_trace(self, sweep_id: str) -> Response:
         try:
             payload = self.queue.trace_spans(sweep_id)
         except KeyError:
             raise HttpError(404, f"unknown sweep {sweep_id!r}") from None
-        await self._send_json(writer, 200, payload)
+        return _json_response(200, payload)
 
-    async def _get_stats(self, writer) -> None:
+    def _get_stats(self) -> Response:
         payload: Dict[str, object] = {
             "version": __version__,
             "queue": self.queue.stats(),
@@ -411,7 +500,7 @@ class ReproService:
                 payload.update(self.stats_extra())
             except Exception as exc:  # noqa: BLE001 - stats must not 500
                 payload["stats_extra_error"] = f"{type(exc).__name__}: {exc}"
-        await self._send_json(writer, 200, payload)
+        return _json_response(200, payload)
 
     async def _stream_events(self, writer, sweep_id: str,
                              query: Dict[str, list]) -> None:
@@ -420,64 +509,71 @@ class ReproService:
         except ValueError:
             raise HttpError(400, "'from' must be an integer") from None
         # subscribe() is an async generator: its unknown-sweep KeyError only
-        # surfaces at the first iteration, after headers went out.  Probe
-        # eagerly so unknown sweeps get a clean 404 instead of a dead stream.
+        # surfaces at the first iteration, after headers went out.  Look the
+        # sweep up eagerly so unknown sweeps get a clean 404.
         try:
-            self.queue.sweep_status(sweep_id)
+            log = self.queue._get_sweep(sweep_id).events
         except KeyError:
             raise HttpError(404, f"unknown sweep {sweep_id!r}") from None
-        stream = self.queue.subscribe(sweep_id, from_index=from_index)
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream; charset=utf-8\r\n"
-            b"Cache-Control: no-cache\r\nConnection: close\r\n\r\n")
-        await writer.drain()
-        agen = stream.__aiter__()
-        next_event = asyncio.ensure_future(agen.__anext__())
+        agen = self.queue.subscribe(sweep_id,
+                                    from_index=from_index).__aiter__()
+        cursor = max(0, from_index)  # the index the stream yields next
+        frames = [_SSE_HEAD]
+        next_event = None
         try:
             while True:
                 try:
-                    index, event = await asyncio.wait_for(
-                        asyncio.shield(next_event), HEARTBEAT_SECONDS)
-                except asyncio.TimeoutError:
-                    # Idle stream: keep the connection (and any proxy on the
-                    # way) alive, then go back to waiting for the same
-                    # shielded future.
-                    writer.write(b": keepalive\n\n")
-                    await writer.drain()
-                    continue
+                    if cursor < len(log):
+                        # Already logged: the stream yields it at once, so
+                        # it joins the frames written together.
+                        index, event = await agen.__anext__()
+                    else:
+                        writer.write(b"".join(frames))
+                        frames = []
+                        await writer.drain()
+                        next_event = asyncio.ensure_future(agen.__anext__())
+                        index, event = await self._next_live(writer,
+                                                             next_event)
                 except StopAsyncIteration:
                     break
-                frame = (f"id: {index}\n"
-                         f"event: {event.get('event', 'message')}\n"
-                         f"data: {json.dumps(event, sort_keys=True)}\n\n")
-                writer.write(frame.encode("utf-8"))
-                await writer.drain()
+                cursor = index + 1
+                frames.append(
+                    f"id: {index}\n"
+                    f"event: {event.get('event', 'message')}\n"
+                    f"data: {json.dumps(event, sort_keys=True)}\n\n"
+                    .encode("utf-8"))
                 if event.get("event") == "sweep_done":
                     break
-                next_event = asyncio.ensure_future(agen.__anext__())
+            writer.write(b"".join(frames))
+            await writer.drain()
         finally:
-            if not next_event.done():
+            if next_event is not None and not next_event.done():
                 next_event.cancel()
             await agen.aclose()
 
+    @staticmethod
+    async def _next_live(writer, next_event: asyncio.Future):
+        """Wait for the stream's next event, sending a comment heartbeat on
+        each :data:`HEARTBEAT_SECONDS` of silence so the connection (and
+        any proxy on the way) stays alive."""
+        while True:
+            try:
+                return await asyncio.wait_for(asyncio.shield(next_event),
+                                              HEARTBEAT_SECONDS)
+            except asyncio.TimeoutError:
+                writer.write(b": keepalive\n\n")
+                await writer.drain()
+
     # -- response helpers ---------------------------------------------------
 
-    async def _send_json(self, writer, status: int, payload) -> None:
-        body = (json.dumps(payload, sort_keys=True, indent=1) + "\n").encode(
-            "utf-8")
+    @staticmethod
+    async def _respond(writer, response: Response, keep_alive: bool) -> None:
+        """Write an answer, head and body in one send."""
+        status, content_type, body = response
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: application/json; charset=utf-8\r\n"
+                f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n")
-        writer.write(head.encode("latin-1") + body)
-        await writer.drain()
-
-    async def _send_text(self, writer, status: int, text: str) -> None:
-        body = text.encode("utf-8")
-        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: close\r\n\r\n")
+                f"Connection: {'keep-alive' if keep_alive else 'close'}"
+                f"\r\n\r\n")
         writer.write(head.encode("latin-1") + body)
         await writer.drain()

@@ -34,7 +34,9 @@ leases it is currently heartbeating:
   re-arms the thread at once.  A 410 answer means the lease is gone (the
   reaper requeued the job); the worker stops renewing and lets its
   eventual upload land as a stale completion, which the coordinator
-  publishes or adopts but never double-counts.
+  publishes or adopts but never double-counts.  A 410 for a lease whose
+  upload is under way or landed is no loss: a beat sent while the job ran
+  reached the coordinator after its completion.
 * **Node faults** — the worker interprets the fabric-level
   :mod:`~repro.sweep.faults` modes before a job reaches the pool:
   ``worker_kill`` ends the worker's own process with exit code 137, like
@@ -126,6 +128,7 @@ class FabricWorker:
         self._active: Set[str] = set()     # held leases, until uploaded
         self._suspended: Set[str] = set()  # leases with stalled beats
         self._lost: Set[str] = set()       # leases the reaper took
+        self._handed: Set[str] = set()     # leases handed to the uploader
         self._lock = threading.Lock()
         self._stop = threading.Event()
         #: Finished payloads waiting for the uploader (None ends it).
@@ -220,6 +223,7 @@ class FabricWorker:
                 self._drained.set()
                 self._beat_wake.set()
                 heartbeat.join(timeout=2.0)
+                self.client.close()
 
     def _lease(self, want: int):
         self._net_gate()
@@ -246,12 +250,12 @@ class FabricWorker:
                 job = job_from_wire(grant.get("job", {}))
             except SpecError as exc:
                 self.failures += 1
-                self._uploads.put((lease_id, {
+                self._hand_over(lease_id, {
                     "ok": False, "hash": grant.get("hash"),
                     "failure": {"kind": "exception",
                                 "error_type": "SpecError",
                                 "message": f"undecodable grant: {exc}",
-                                "worker": self.worker_id}}))
+                                "worker": self.worker_id}})
                 return
             stall = faults.claim_node_fault("lease_stall", job)
             if stall is not None:
@@ -266,10 +270,10 @@ class FabricWorker:
             if cached is not None:
                 self.local_hits += 1
                 _OBS_LOCAL_HITS.inc()
-                self._uploads.put((lease_id, {
+                self._hand_over(lease_id, {
                     "ok": True, "hash": job.content_hash(),
                     "result": cached.to_json_dict(), "attempts": 0,
-                    "degraded": False, "cache_hit": True}))
+                    "degraded": False, "cache_hit": True})
                 return
             if faults.claim_node_fault("worker_kill", job) is not None:
                 self._log(f"[{self.worker_id}] worker_kill on {job.label}")
@@ -293,7 +297,14 @@ class FabricWorker:
                 # The attempt span and everything nested under it ship
                 # home with the completion.
                 payload["spans"] = obs.take_spans(trace.trace_id)
-            self._uploads.put((lease_id, payload))
+            self._hand_over(lease_id, payload)
+
+    def _hand_over(self, lease_id: str, payload: dict) -> None:
+        """Queue a finished lease's upload (blocks while the uploader is
+        backlogged)."""
+        with self._lock:
+            self._handed.add(lease_id)
+        self._uploads.put((lease_id, payload))
 
     def _payload(self, job: SweepJob, outcome: SingleJobOutcome) -> dict:
         """The upload for one pool outcome (a result is cached locally)."""
@@ -324,6 +335,7 @@ class FabricWorker:
             self._active.discard(lease_id)
             self._suspended.discard(lease_id)
             self._lost.discard(lease_id)
+            self._handed.discard(lease_id)
 
     def _upload(self, lease_id: str, payload: dict, tries: int = 4) -> None:
         for attempt in range(1, tries + 1):
@@ -386,10 +398,14 @@ class FabricWorker:
                     if exc.status == 410:
                         # The reaper requeued our job; keep running (the
                         # result is still worth publishing) but stop
-                        # renewing a lease that no longer exists.
-                        self.lease_lost += 1
+                        # renewing a lease that no longer exists.  A lease
+                        # whose upload is under way or landed is not lost:
+                        # a stale upload counts from its receipt.
                         with self._lock:
-                            self._lost.add(lease_id)
+                            if (lease_id in self._active
+                                    and lease_id not in self._handed):
+                                self.lease_lost += 1
+                                self._lost.add(lease_id)
                     # else: transient — the next beat retries
 
     # -- fault plumbing -----------------------------------------------------

@@ -136,9 +136,29 @@ class SweepJob:
         }
 
     def content_hash(self) -> str:
-        """Hex digest of the canonical spec; stable across processes."""
+        """Hex digest of the canonical spec; stable across processes.
+
+        Memoized on the job object, together with the registered kernel
+        and default machine it was computed against, so re-registering
+        either still changes the hash.
+        """
+        from repro.core.kernels import registered_kernel
+
+        kernel = registered_kernel(self.kernel)
+        machine = self.machine if self.machine is not None else default_machine()
+        memo = self.__dict__.get("_hash_memo")
+        if memo is not None and memo[0] is kernel and memo[1] is machine:
+            return memo[2]
         canonical = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        object.__setattr__(self, "_hash_memo", (kernel, machine, digest))
+        return digest
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The memo holds this process's registry objects: never pickle it.
+        state = dict(self.__dict__)
+        state.pop("_hash_memo", None)
+        return state
 
     def run(self):
         """Execute the job in this process and return a `KernelRunResult`."""

@@ -12,6 +12,7 @@ nobody remembers to bump the version.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -53,6 +54,10 @@ _METRIC_SOURCES = ("runner.py", "machine.py", "core", "isa", "snitch")
 #: a writer that died mid-save, and a live writer finishes its rename in
 #: milliseconds.
 _TMP_STALE_SECONDS = 60.0
+
+#: Compact JSON through the C encoder (an ``indent`` forces the pure-Python
+#: one); sorted keys keep entries byte-stable.
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 #: Process-wide store metrics (all stores in the process share them, which
 #: matches the operational question: "is this *process* hitting its cache?").
@@ -211,28 +216,33 @@ class ResultStore:
         observable as strictly ordered for tooling that also takes the lock.
         """
         path = self.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        text = _JSON.encode({
             "engine_version": self.engine_version,
             "job": job.spec(),
             "result": result.without_cluster().to_json_dict(),
-        }
+        }) + "\n"
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
             f"-{next(self._save_counter)}")
         try:
-            tmp.write_text(json.dumps(payload, sort_keys=True, indent=1)
-                           + "\n")
+            try:
+                tmp.write_text(text)
+            except FileNotFoundError:
+                # First save into this version directory, or it was
+                # removed meanwhile (clear()): create it, then retry.
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(text)
             with self._advisory_lock():
                 os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        except BaseException:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise
         return path
 
+    @contextlib.contextmanager
     def _advisory_lock(self):
         """Advisory inter-process lock around entry publication.
 
@@ -240,31 +250,23 @@ class ResultStore:
         the atomic rename happens; a no-op where ``fcntl`` is unavailable
         (the rename alone is still atomic there).
         """
-        store = self
-
-        class _Lock:
-            def __enter__(self):
-                self.fh = None
-                if fcntl is None:
-                    return self
+        fh = None
+        if fcntl is not None:
+            try:
+                fh = open(self.version_dir / ".lock", "a+b")
+                fcntl.flock(fh, fcntl.LOCK_EX)
+            except OSError:
+                if fh is not None:
+                    fh.close()
+                    fh = None
+        try:
+            yield
+        finally:
+            if fh is not None:
                 try:
-                    self.fh = open(store.version_dir / ".lock", "a+b")
-                    fcntl.flock(self.fh, fcntl.LOCK_EX)
-                except OSError:
-                    if self.fh is not None:
-                        self.fh.close()
-                        self.fh = None
-                return self
-
-            def __exit__(self, *exc):
-                if self.fh is not None:
-                    try:
-                        fcntl.flock(self.fh, fcntl.LOCK_UN)
-                    finally:
-                        self.fh.close()
-                return False
-
-        return _Lock()
+                    fcntl.flock(fh, fcntl.LOCK_UN)
+                finally:
+                    fh.close()
 
     def __len__(self) -> int:
         """Number of entries stored for this engine version."""

@@ -37,6 +37,12 @@ SEGFAULT = "mode=segfault:kernel=jacobi_2d:variant=saris:engine=native"
 #: An injected native-engine hang of the same job.
 HANG = "mode=hang:kernel=jacobi_2d:variant=saris:engine=native"
 
+#: ``repro serve`` closing kept-alive connections after IDLE_S idle seconds.
+IDLE_S = 5.0
+SHORT_IDLE = ("import sys; from repro.service import server; "
+              f"server.KEEPALIVE_IDLE_SECONDS = {IDLE_S}; "
+              "from repro.cli import main; sys.exit(main())")
+
 
 def cli_env(**extra):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), **extra)
@@ -47,8 +53,10 @@ def cli_env(**extra):
     return env
 
 
-def spawn(args, env):
-    return subprocess.Popen([sys.executable, "-m", "repro.cli", *args],
+def spawn(args, env, code=None):
+    """Run the CLI (``code``: a ``python -c`` program standing in for it)."""
+    entry = ["-c", code] if code else ["-m", "repro.cli"]
+    return subprocess.Popen([sys.executable, *entry, *args],
                             cwd=str(REPO_ROOT), env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
 
@@ -62,10 +70,11 @@ def stop(proc):
     return output
 
 
-def serve(tmp_path, **env):
+def serve(tmp_path, code=None, **env):
     """Start ``repro serve`` on an ephemeral port; return (proc, client)."""
     proc = spawn(["serve", "--port", "0", "--workers", "2",
-                  "--cache-dir", str(tmp_path / "store")], cli_env(**env))
+                  "--cache-dir", str(tmp_path / "store")], cli_env(**env),
+                 code)
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         if not select.select([proc.stdout], [], [], 1.0)[0]:
@@ -108,13 +117,23 @@ def job_states(client, receipt):
 class TestServe:
     def test_segfault_degrades_its_job_and_the_daemon_keeps_serving(
             self, tmp_path):
-        proc, client = serve(tmp_path, **{faults.FAULT_ENV_VAR: SEGFAULT})
+        proc, client = serve(tmp_path, SHORT_IDLE,
+                             **{faults.FAULT_ENV_VAR: SEGFAULT})
+        idle = HTTPConnection(client.host, client.port, timeout=IDLE_S + 10)
         try:
+            idle.request("GET", "/v1/healthz")
+            assert idle.getresponse().read()
+            idle_since = time.monotonic()  # kept alive, idle from here
             receipt = client.submit({"jobs": [SARIS, OTHER]})
-            # The replacement workers are forked while this stream is
-            # open; it must still end when the sweep does.
+            # The replacement workers are forked while this stream and
+            # the idle connection are open; the stream must still end
+            # when the sweep does...
             assert "event: sweep_done" in stream_to_eof(client,
                                                         receipt["sweep"])
+            assert time.monotonic() - idle_since < IDLE_S
+            # ...and the idle connection when the daemon closes it,
+            # although a pool worker holds a copy of its socket.
+            assert idle.sock.recv(1) == b""
             final = client.sweep(receipt["sweep"])
             assert final["counts"]["done"] == 2, final["counts"]
             jobs = job_states(client, receipt)
@@ -124,6 +143,7 @@ class TestServe:
             assert client.healthz()["ok"] is True
             assert proc.poll() is None
         finally:
+            idle.close()
             stop(proc)
 
     def test_timeout_degrades_the_hung_job(self, tmp_path):

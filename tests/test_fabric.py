@@ -76,9 +76,11 @@ def running_fabric(store=None, ttl=5.0, retry=None, token=None):
         return await service.start()
 
     service = asyncio.run_coroutine_threadsafe(boot(), loop).result(30)
+    client = ServiceClient(service.url, token=token)
     try:
-        yield service, ServiceClient(service.url, token=token)
+        yield service, client
     finally:
+        client.close()
         asyncio.run_coroutine_threadsafe(service.close(), loop).result(30)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
@@ -567,6 +569,61 @@ class TestPipelinedWorker:
             assert client.sweep(receipt["sweep"])["counts"]["done"] == 6
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert len(gaps) == 4 and max(gaps) < 0.3, gaps
+
+
+class TestHeartbeatRace:
+    """A heartbeat sent while its lease runs can reach the coordinator
+    after the lease's upload began or landed, and get a 410 for it.  That
+    lease was not lost: a stale upload counts from its receipt."""
+
+    @pytest.mark.parametrize("landed", [False, True],
+                             ids=["upload-in-flight", "upload-landed"])
+    def test_410_for_an_uploaded_lease_is_no_lost_lease(self, landed):
+        execute_job_cached(None)
+        job = job_from_wire(JOB_WIRE)
+        grants = [{"lease": "l0001-race", "hash": job.content_hash(),
+                   "ttl": 0.3, "attempt": 1, "label": job.label,
+                   "job": JOB_WIRE}]
+        uploading, answered = threading.Event(), threading.Event()
+
+        def slow(job):
+            time.sleep(0.5)  # heartbeats go out while it runs
+            return execute_job_cached(job)
+
+        worker = FabricWorker("http://127.0.0.1:9", worker_id="w1",
+                              poll_seconds=0.05, pool=ThreadPool(slow))
+
+        class Coordinator:
+            """Stands in for the daemon: each heartbeat arrives only once
+            the upload is under way (or, with ``landed``, done)."""
+
+            def lease(self, worker_id, capacity=1):
+                granted, grants[:] = grants[:], []
+                return {"ttl": 0.3, "grants": granted}
+
+            def heartbeat(self, lease_id):
+                assert uploading.wait(10)
+                if landed:
+                    wait_until(lambda: not worker.stats()["active_leases"])
+                answered.set()
+                raise ServiceError("lease gone", status=410)
+
+            def complete(self, lease_id, payload):
+                uploading.set()
+                if not landed:
+                    assert answered.wait(10)
+                    time.sleep(0.1)  # the worker handles the 410 first
+                return {"ok": True, "stale": False}
+
+            def close(self):
+                pass
+
+        worker.client = Coordinator()
+        worker.run(exit_on_idle=3)
+        assert answered.is_set()
+        assert worker.uploaded == 1 and worker.stale == 0
+        assert worker.stats()["leases_lost"] == 0
+        assert not worker._lost  # nothing held for a released lease
 
 
 class TestFabricEndToEnd:

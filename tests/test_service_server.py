@@ -64,9 +64,11 @@ def running_server(runner=fast_runner, store=None, token=None, workers=2,
         return await service.start()
 
     service = asyncio.run_coroutine_threadsafe(boot(), loop).result(30)
+    client = ServiceClient(service.url, token=token)
     try:
-        yield service, ServiceClient(service.url, token=token)
+        yield service, client
     finally:
+        client.close()
         asyncio.run_coroutine_threadsafe(service.close(), loop).result(30)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)

@@ -146,6 +146,18 @@ class TestResultStore:
         store.clear()
         assert len(store) == 0 and store.load(job) is None
 
+    def test_save_after_clear_recreates_the_version_dir(self, tmp_path):
+        store = ResultStore(tmp_path / "fresh")  # no directory yet
+        job = small_job()
+        result = execute_job(job)
+        store.save(job, result)
+        store.clear()
+        assert not store.version_dir.exists()
+        path = store.save(job, result)
+        assert path.parent == store.version_dir and path.exists()
+        assert metrics_key(store.load(job)) == metrics_key(result)
+        assert not list(store.version_dir.glob("*.tmp*"))
+
     def test_concurrent_writers_one_key_never_corrupt(self, tmp_path):
         """Two threads hammering the same key must never produce a torn
         entry: every interleaved load is either a miss or a full,
@@ -297,6 +309,42 @@ class TestMachineAwareStore:
         finally:
             register_machine(original, replace=True)
         assert small_job().content_hash() == baseline
+
+    def test_memoized_hash_follows_the_registries(self):
+        """``content_hash`` is memoized per job object, yet the same object
+        re-hashes when the default preset or its kernel is re-registered."""
+        import pickle
+
+        from repro.core.kernels import KERNEL_REGISTRY, register_kernel
+        from repro.machine import MachineSpec, get_machine, register_machine
+
+        job = small_job()
+        baseline = job.content_hash()
+        assert job.content_hash() == baseline
+        assert "_hash_memo" not in pickle.loads(pickle.dumps(job)).__dict__
+        original = get_machine("snitch-8")
+        register_machine(MachineSpec.create("snitch-8", tcdm_banks=64),
+                         replace=True)
+        try:
+            assert job.content_hash() != baseline
+        finally:
+            register_machine(original, replace=True)
+        assert job.content_hash() == baseline
+
+        stock = KERNEL_REGISTRY.get("jacobi_2d")
+
+        def shifted():
+            kernel = stock()
+            kernel.coefficients = {name: value + 1.0 for name, value
+                                   in kernel.coefficients.items()}
+            return kernel
+
+        register_kernel("jacobi_2d", replace=True)(shifted)
+        try:
+            assert job.content_hash() != baseline
+        finally:
+            register_kernel("jacobi_2d", replace=True)(stock)
+        assert job.content_hash() == baseline
 
     def test_machine_label_and_spec(self):
         job = small_job(machine="snitch-16")
