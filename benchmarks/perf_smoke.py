@@ -1,40 +1,38 @@
-"""CI perf smoke: run the quick simspeed benchmark and flag regressions.
+"""CI perf smoke: time the simulator in this process and gate the result.
 
-Two checks, from robust to advisory:
+:func:`measure` runs four legs:
 
-1. **Engine check (hardware-independent).** The native symmetry-folded
-   engine must be active (``engine == "folded-native"``) — the realistic
+* **Table-1:** three serial base+SARIS sweeps over the ten Table-1 kernels
+  at paper tile sizes.  The first is cold for this process (the persistent
+  compile cache may still serve codegen); the best one is compared.
+* **Fold speedup:** one more sweep on the forced Python reference engine,
+  against the best native sweep.
+* **Scaleout:** one untimed warm-up and one timed pass of the direct
+  2-cluster simulation (``manticore-2``) of ``jacobi_2d`` and ``j3d27pt``.
+  Both run in this process (``workers=1``): a pool would fork fresh workers
+  for the timed pass that the warm-up never reached.
+* **Telemetry:** warm ``run_kernel`` with telemetry on against off.
+
+:func:`check` holds them to five gates:
+
+1. the native engine carried every Table-1 and scaleout run.  The realistic
    catastrophic regression is the C engine silently failing to build and
-   every job falling back to the Python reference engine.  Additionally the
-   folded engine must beat the in-process Python engine by at least
-   ``--min-fold-speedup`` (default 3x; the recorded figure is >20x), which
-   needs no cross-machine baseline at all.
-2. **Throughput floor vs the committed baseline.** The fresh best
-   simulated-cycles-per-second figure must not regress more than
-   ``--tolerance`` (default 25%, the value documented in
-   ``.github/workflows/ci.yml``) below the committed
-   ``BENCH_simspeed.json``.  This is deliberately generous because hosted
-   runners and the container class that recorded the baseline are different
-   hardware; check 1 is the authoritative guard, this one catches
-   order-of-magnitude rot on comparable machines.
+   every job falling back to the Python engine;
+2. the best native sweep beats the Python engine at least
+   ``FOLD_SPEEDUP_FLOOR`` times, which needs no cross-machine baseline;
+3. Table-1 simulated cycles/s, and
+4. scaleout simulated cluster-cycles/s, each at least ``THROUGHPUT_FLOOR``
+   of the committed ``BENCH_simspeed.json``.  This is deliberately
+   generous: hosted runners and the container that recorded the baseline
+   are different hardware, so it catches order-of-magnitude rot, and gates
+   1 and 2 are the host-independent guard;
+5. telemetry slows warm runs by at most ``OBS_OVERHEAD_CEILING``.
 
-The same floor is applied to the ``scaleout`` leg's simulated
-cluster-cycles-per-second (the direct 2-cluster simulation of
-``repro.scaleout.sim``), so multi-cluster throughput is guarded alongside
-the single-cluster sweep.
-
-A third **telemetry-overhead** leg times warm ``run_kernel`` batches with
-telemetry enabled vs ``REPRO_OBS``-disabled (min-of-batches on both sides,
-interleaved, so scheduler noise largely cancels) and fails when the
-instrumented path is more than ``--obs-overhead-tolerance`` (default 3%)
-slower — the observability layer must stay effectively free.
+A gated key missing from either report fails its gate.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py [--baseline BENCH_simspeed.json]
-
-The default baseline is the repository's ``BENCH_simspeed.json``, wherever
-the script is run from; an explicit ``--baseline`` path is taken as given.
+    PYTHONPATH=src python benchmarks/perf_smoke.py
 """
 
 from __future__ import annotations
@@ -42,14 +40,28 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 #: The committed baseline, found from this file rather than the current
 #: directory, so the script runs from anywhere.
-DEFAULT_BASELINE = (Path(__file__).resolve().parent.parent
-                    / "BENCH_simspeed.json")
+BASELINE = Path(__file__).resolve().parent.parent / "BENCH_simspeed.json"
+
+#: Table-1 sweeps per run; the first is process-cold.
+TABLE1_SWEEPS = 3
+
+#: Kernel pair and topology of the direct-scaleout leg.
+SCALEOUT_KERNELS = ("jacobi_2d", "j3d27pt")
+SCALEOUT_MACHINE = "manticore-2"
+
+FOLD_SPEEDUP_FLOOR = 3.0
+THROUGHPUT_FLOOR = 0.75
+OBS_OVERHEAD_CEILING = 0.03
+
+#: Dotted keys read from both the committed baseline and the fresh report.
+THROUGHPUT_KEYS = ("best_cycles_per_second",
+                   "scaleout.cluster_cycles_per_second")
 
 
 def measure_obs_overhead(rounds: int = 40) -> float:
@@ -100,104 +112,112 @@ def measure_obs_overhead(rounds: int = 40) -> float:
     return median_delta / median_off
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE,
-                        help="committed benchmark report to compare against "
-                             "(default: BENCH_simspeed.json at the "
-                             "repository root)")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed fractional regression (default: 0.25)")
-    parser.add_argument("--min-fold-speedup", type=float, default=3.0,
-                        help="minimum folded-vs-Python in-run speedup "
-                             "(default: 3.0; 0 disables)")
-    parser.add_argument("--allow-python-engine", action="store_true",
-                        help="do not fail when the native engine is "
-                             "unavailable (environments without a C "
-                             "compiler)")
-    parser.add_argument("--obs-overhead-tolerance", type=float,
-                        default=0.03,
-                        help="maximum fractional telemetry overhead "
-                             "(default: 0.03; 0 disables the check)")
-    args = parser.parse_args(argv)
-
-    baseline = json.loads(args.baseline.read_text())
-    committed = float(baseline["best_cycles_per_second"])
-
-    from repro.bench import run_benchmark, run_sweep_timing
+def measure() -> dict:
+    """Run every leg once in this process and return the fresh report."""
+    from repro import compare_variants
+    from repro.core.kernels import TABLE1_KERNELS
+    from repro.scaleout.sim import direct_scaleout_table
     from repro.snitch import native
 
+    def table1_sweep():
+        start = time.perf_counter()
+        pairs = [compare_variants(name) for name in TABLE1_KERNELS]
+        wall = time.perf_counter() - start
+        return wall, [run for pair in pairs for run in (pair.base, pair.saris)]
+
+    def scaleout_pass():
+        return direct_scaleout_table(SCALEOUT_KERNELS,
+                                     machine=SCALEOUT_MACHINE, workers=1)
+
+    sweeps = [table1_sweep() for _ in range(TABLE1_SWEEPS)]
+    best_wall, best_runs = min(sweeps, key=lambda sweep: sweep[0])
+
+    scaleout_pass()  # warm-up, untimed
+    start = time.perf_counter()
+    table = scaleout_pass()
+    scaleout_wall = time.perf_counter() - start
+    tiles = [tile for entry in table.values() for side in ("base", "saris")
+             for tile in entry[side].tile_results]
+
+    with native.forced_python():
+        python_wall, _ = table1_sweep()
+
+    engines = Counter(run.engine for _, runs in sweeps for run in runs)
+    engines.update(tile.engine for tile in tiles)
+    return {
+        "engines": dict(engines),
+        "best_cycles_per_second":
+            sum(run.cycles for run in best_runs) / best_wall,
+        "fold_speedup": python_wall / best_wall,
+        "scaleout": {"cluster_cycles_per_second":
+                     sum(tile.cycles for tile in tiles) / scaleout_wall},
+        "obs_overhead": measure_obs_overhead(),
+    }
+
+
+def _lookup(report: dict, key: str):
+    """``report["a"]["b"]`` for ``key == "a.b"``; None if a part is missing."""
+    value = report
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return None
+        value = value[part]
+    return value
+
+
+def check(baseline: dict, fresh: dict) -> list[str]:
+    """The gate: one message per failed check, empty when all five pass."""
     failures = []
 
-    # Three repetitions (one process-cold, two warm): the comparison uses the
-    # best, which tames the run-to-run noise of a shared/1-CPU container.
-    with tempfile.TemporaryDirectory(prefix="perf-smoke-") as scratch_dir:
-        report = run_benchmark(repetitions=3, quick=True,
-                               output=str(Path(scratch_dir) / "quick.json"))
-    fresh = float(report["best_cycles_per_second"])
+    def read(report: dict, name: str, key: str):
+        value = _lookup(report, key)
+        if value is None:
+            failures.append(f"{name} report has no {key}")
+        return value
 
-    skip_floor = False
-    if report.get("engine") != "folded-native":
-        message = (f"native engine inactive "
-                   f"({native.disabled_reason() or 'fell back'})")
-        if args.allow_python_engine:
-            # The committed baseline was recorded with the folded engine; a
-            # Python-engine run cannot meaningfully meet its floor.
-            print(f"perf-smoke: WARNING: {message}; skipping baseline floor")
-            skip_floor = True
-        else:
-            failures.append(message)
-    elif args.min_fold_speedup > 0:
-        with native.forced_python():
-            unfolded = run_sweep_timing()
-        fold_speedup = (unfolded["wall_seconds"]
-                        / report["best_wall_seconds"])
-        print(f"perf-smoke: fold speedup {fold_speedup:.1f}x "
-              f"(floor {args.min_fold_speedup:.1f}x)")
-        if fold_speedup < args.min_fold_speedup:
-            failures.append(
-                f"fold speedup {fold_speedup:.1f}x below "
-                f"{args.min_fold_speedup:.1f}x")
+    engines = read(fresh, "fresh", "engines")
+    if engines is not None and set(engines) != {"native"}:
+        failures.append(f"native engine did not carry every run: {engines}")
+    fold = read(fresh, "fresh", "fold_speedup")
+    if fold is not None and fold < FOLD_SPEEDUP_FLOOR:
+        failures.append(f"fold speedup {fold:.2f}x below "
+                        f"{FOLD_SPEEDUP_FLOOR:.1f}x")
+    for key in THROUGHPUT_KEYS:
+        committed = read(baseline, "baseline", key)
+        value = read(fresh, "fresh", key)
+        if committed is not None and value is not None:
+            floor = committed * THROUGHPUT_FLOOR
+            if value < floor:
+                failures.append(
+                    f"{key} {value:,.0f} below floor {floor:,.0f} "
+                    f"({THROUGHPUT_FLOOR:.0%} of committed {committed:,.0f})")
+    overhead = read(fresh, "fresh", "obs_overhead")
+    if overhead is not None and overhead > OBS_OVERHEAD_CEILING:
+        failures.append(f"telemetry overhead {overhead:+.2%} above "
+                        f"{OBS_OVERHEAD_CEILING:.0%}")
+    return failures
 
-    floor = committed * (1.0 - args.tolerance)
-    if fresh < floor and not skip_floor:
-        failures.append(
-            f"fresh {fresh:,.0f} cycles/s below floor {floor:,.0f}")
-    print(f"perf-smoke: fresh {fresh:,.0f} cycles/s vs committed "
-          f"{committed:,.0f} cycles/s (floor {floor:,.0f}, "
-          f"tolerance {args.tolerance:.0%})")
 
-    # Multi-cluster throughput: the quick report carries a warm direct
-    # 2-cluster scaleout leg; hold it to the same relative floor.
-    committed_scaleout = baseline.get("scaleout", {}).get(
-        "cluster_cycles_per_second")
-    fresh_scaleout = report.get("scaleout", {}).get(
-        "cluster_cycles_per_second")
-    if committed_scaleout and fresh_scaleout:
-        scaleout_floor = float(committed_scaleout) * (1.0 - args.tolerance)
-        if fresh_scaleout < scaleout_floor and not skip_floor:
-            failures.append(
-                f"scaleout {fresh_scaleout:,.0f} cluster-cycles/s below "
-                f"floor {scaleout_floor:,.0f}")
-        print(f"perf-smoke: scaleout {fresh_scaleout:,.0f} cluster-cycles/s "
-              f"vs committed {committed_scaleout:,.0f} "
-              f"(floor {scaleout_floor:,.0f})")
-    print(f"  engine: {report.get('engine')}  cold "
-          f"{report['cold_wall_seconds']:.2f} s, best "
-          f"{report['best_wall_seconds']:.2f} s")
+def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    baseline = json.loads(BASELINE.read_text())
+    fresh = measure()
 
-    if args.obs_overhead_tolerance > 0:
-        overhead = measure_obs_overhead()
-        print(f"perf-smoke: telemetry overhead {overhead:+.1%} "
-              f"(ceiling {args.obs_overhead_tolerance:.0%})")
-        if overhead > args.obs_overhead_tolerance:
-            failures.append(
-                f"telemetry overhead {overhead:+.1%} above "
-                f"{args.obs_overhead_tolerance:.0%}")
+    print(f"perf-smoke: engines {fresh['engines']}")
+    print(f"perf-smoke: fold speedup {fresh['fold_speedup']:.1f}x "
+          f"(floor {FOLD_SPEEDUP_FLOOR:.1f}x)")
+    for key in THROUGHPUT_KEYS:
+        committed = _lookup(baseline, key)
+        committed = "missing" if committed is None else f"{committed:,.0f}"
+        print(f"perf-smoke: {key} {_lookup(fresh, key):,.0f} vs committed "
+              f"{committed} (floor {THROUGHPUT_FLOOR:.0%})")
+    print(f"perf-smoke: telemetry overhead {fresh['obs_overhead']:+.1%} "
+          f"(ceiling {OBS_OVERHEAD_CEILING:.0%})")
 
+    failures = check(baseline, fresh)
+    for failure in failures:
+        print(f"perf-smoke: REGRESSION: {failure}")
     if failures:
-        for failure in failures:
-            print(f"perf-smoke: REGRESSION: {failure}")
         return 1
     print("perf-smoke: OK")
     return 0

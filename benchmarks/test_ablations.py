@@ -26,8 +26,8 @@ def _artifact(ablation_runs, paper_runs, title_prefix):
     raise AssertionError(f"no ablation artifact titled {title_prefix!r}")
 
 
-def test_ablation_frep(benchmark, ablation_runs, paper_runs):
-    artifact = benchmark(_artifact, ablation_runs, paper_runs,
+def test_ablation_frep(ablation_runs, paper_runs):
+    artifact = _artifact(ablation_runs, paper_runs,
                          "Ablation: FREP")
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
@@ -38,8 +38,8 @@ def test_ablation_frep(benchmark, ablation_runs, paper_runs):
     assert with_frep.fpu_util >= without.fpu_util - 0.02
 
 
-def test_ablation_unroll(benchmark, ablation_runs, paper_runs):
-    artifact = benchmark(_artifact, ablation_runs, paper_runs,
+def test_ablation_unroll(ablation_runs, paper_runs):
+    artifact = _artifact(ablation_runs, paper_runs,
                          "Ablation: SARIS block size")
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
@@ -51,8 +51,8 @@ def test_ablation_unroll(benchmark, ablation_runs, paper_runs):
     assert results[16].fpu_util > results[1].fpu_util
 
 
-def test_ablation_sr2_policy(benchmark, ablation_runs, paper_runs):
-    artifact = benchmark(_artifact, ablation_runs, paper_runs,
+def test_ablation_sr2_policy(ablation_runs, paper_runs):
+    artifact = _artifact(ablation_runs, paper_runs,
                          "Ablation: role of the remaining affine stream")
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
@@ -64,8 +64,8 @@ def test_ablation_sr2_policy(benchmark, ablation_runs, paper_runs):
     assert stores_streamed.cycles <= coeffs_streamed.cycles * 1.1
 
 
-def test_ablation_stream_balance(benchmark, ablation_runs, paper_runs):
-    artifact = benchmark(_artifact, ablation_runs, paper_runs,
+def test_ablation_stream_balance(ablation_runs, paper_runs):
+    artifact = _artifact(ablation_runs, paper_runs,
                          "Ablation: stream partition balance")
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))

@@ -5,8 +5,8 @@ from repro.core.kernels import TABLE1_KERNELS
 from repro.sweep.artifacts import build_fig3a
 
 
-def test_fig3a_speedup(benchmark, paper_runs):
-    artifact = benchmark(build_fig3a, paper_runs)
+def test_fig3a_speedup(paper_runs):
+    artifact = build_fig3a(paper_runs)
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     speedups = artifact["data"]["speedups"]

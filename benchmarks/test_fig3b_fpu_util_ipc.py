@@ -5,8 +5,8 @@ from repro.core.kernels import TABLE1_KERNELS
 from repro.sweep.artifacts import build_fig3b
 
 
-def test_fig3b_fpu_util_and_ipc(benchmark, paper_runs):
-    artifact = benchmark(build_fig3b, paper_runs)
+def test_fig3b_fpu_util_and_ipc(paper_runs):
+    artifact = build_fig3b(paper_runs)
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     data = artifact["data"]["per_kernel"]

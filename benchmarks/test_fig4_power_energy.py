@@ -5,8 +5,8 @@ from repro.core.kernels import TABLE1_KERNELS
 from repro.sweep.artifacts import build_fig4
 
 
-def test_fig4_power_and_energy_efficiency(benchmark, paper_runs):
-    artifact = benchmark(build_fig4, paper_runs)
+def test_fig4_power_and_energy_efficiency(paper_runs):
+    artifact = build_fig4(paper_runs)
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     data = artifact["data"]["per_kernel"]

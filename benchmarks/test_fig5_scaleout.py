@@ -4,8 +4,8 @@ from repro.analysis import format_table
 from repro.sweep.artifacts import build_fig5
 
 
-def test_fig5_manycore_scaleout(benchmark, paper_runs):
-    artifact = benchmark(build_fig5, paper_runs)
+def test_fig5_manycore_scaleout(paper_runs):
+    artifact = build_fig5(paper_runs)
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     data = artifact["data"]["per_kernel"]

@@ -4,8 +4,8 @@ from repro.analysis import format_table
 from repro.sweep.artifacts import build_listing1
 
 
-def test_listing1_instruction_mix(benchmark):
-    artifact = benchmark(build_listing1)
+def test_listing1_instruction_mix():
+    artifact = build_listing1()
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     result = artifact["data"]

@@ -4,8 +4,8 @@ from repro.analysis import format_table
 from repro.sweep.artifacts import build_table1
 
 
-def test_table1_characteristics(benchmark, paper_runs):
-    artifact = benchmark(build_table1, paper_runs)
+def test_table1_characteristics(paper_runs):
+    artifact = build_table1(paper_runs)
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     for name, entry in artifact["data"].items():

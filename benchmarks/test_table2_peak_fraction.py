@@ -4,8 +4,8 @@ from repro.analysis import format_table
 from repro.sweep.artifacts import build_table2
 
 
-def test_table2_fraction_of_peak(benchmark, paper_runs):
-    artifact = benchmark(build_table2, paper_runs)
+def test_table2_fraction_of_peak(paper_runs):
+    artifact = build_table2(paper_runs)
     print("\n" + format_table(artifact["columns"], artifact["rows"],
                               title=artifact["title"]))
     best_fraction = artifact["data"]["best_fraction"]

@@ -33,6 +33,6 @@ setup(
     # on the bit-identical Python engine.
     install_requires=["numpy>=1.21"],
     extras_require={
-        "dev": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis>=6.0"],
+        "dev": ["pytest>=7.0", "hypothesis>=6.0"],
     },
 )

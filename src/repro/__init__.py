@@ -28,8 +28,7 @@ The package provides:
   ``repro reproduce`` artifact pipeline (with its artifact registry);
 * :mod:`repro.service` — simulation-as-a-service: the async job-queue core
   (store-dedupe, in-flight coalescing, progress streams) plus the
-  ``repro serve`` HTTP daemon and its stdlib client;
-* :mod:`repro.bench` — the simulation-speed benchmark harness.
+  ``repro serve`` HTTP daemon and its stdlib client.
 """
 
 import importlib

@@ -8,7 +8,6 @@ Usage examples::
     python -m repro.cli compare jacobi_2d --json
     python -m repro.cli scaleout star3d2r
     python -m repro.cli reproduce --subset table1 --machine snitch-4
-    python -m repro.cli bench-speed
     python -m repro.cli serve --port 8765
     python -m repro.cli submit jacobi_2d j3d27pt --url http://127.0.0.1:8765 --watch
     python -m repro.cli watch s0001-abcd1234 --url http://127.0.0.1:8765
@@ -329,21 +328,6 @@ def _scaleout_direct(args, kernel) -> int:
         title=f"{kernel.name} on {machine.name} "
               f"({machine.groups}x{machine.clusters_per_group} clusters, "
               f"direct simulation)"))
-    return 0
-
-
-def _cmd_bench_speed(args) -> int:
-    # Imported lazily: the harness pulls in the sweep engine and is only
-    # needed for this subcommand.
-    from repro.bench import print_report, run_benchmark
-
-    if args.repetitions < 1:
-        print("bench-speed: --repetitions must be >= 1", file=sys.stderr)
-        return 2
-    report = run_benchmark(repetitions=args.repetitions, output=args.output,
-                           quick=args.quick)
-    print_report(report)
-    print(f"report written to {args.output}")
     return 0
 
 
@@ -975,15 +959,6 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
     scale_p.add_argument("--json", action="store_true",
                          help="print the metrics as JSON (for scripting)")
     scale_p.set_defaults(func=_cmd_scaleout)
-
-    bench_p = sub.add_parser(
-        "bench-speed",
-        help="time the Table-1 sweep and write BENCH_simspeed.json")
-    bench_p.add_argument("-o", "--output", default="BENCH_simspeed.json")
-    bench_p.add_argument("-r", "--repetitions", type=int, default=2)
-    bench_p.add_argument("--quick", action="store_true",
-                         help="Table-1 sweep repetitions only (CI perf smoke)")
-    bench_p.set_defaults(func=_cmd_bench_speed)
 
     repro_p = sub.add_parser(
         "reproduce",
