@@ -525,7 +525,6 @@ def _cmd_serve(args) -> int:
     from repro import obs
     from repro.doctor import doctor_report
     from repro.service import DEFAULT_HOST, DEFAULT_PORT, JobQueue, ReproService
-    from repro.sweep.engine import resolve_workers
     from repro.sweep.store import ResultStore
     from repro.sweep.supervisor import RetryPolicy
 
@@ -534,8 +533,12 @@ def _cmd_serve(args) -> int:
     retry = RetryPolicy.resolve(None, None)
     if args.retries is not None:
         retry = dataclasses.replace(retry, max_attempts=int(args.retries))
-    queue = JobQueue(store=store, workers=resolve_workers(args.workers),
-                     retry=retry,
+    workers = 1  # a fabric coordinator runs no job itself
+    if not args.fabric:
+        from repro.sweep.engine import resolve_workers
+
+        workers = resolve_workers(args.workers)
+    queue = JobQueue(store=store, workers=workers, retry=retry,
                      dispatch="fabric" if args.fabric else "local")
     fabric = None
     if args.fabric:

@@ -18,53 +18,45 @@ The package is organised as a small compilation pipeline:
    optimized RV32G baseline and the SARIS (SSSR + FREP) code generators.
 """
 
-from repro.core.ir import BinOp, Coeff, Const, Expr, GridRef, add, count_flops, grid_refs, mul, sub
-from repro.core.stencil import StencilKernel
-from repro.core.kernels import (
-    TABLE1_KERNELS,
-    all_kernels,
-    get_kernel,
-    kernel_names,
-    register_kernel,
-)
-from repro.core.layout import TileLayout
-from repro.core.parallel import CoreGeometry, cluster_geometry
-from repro.core.saris import SarisMapping, map_streams
-from repro.core.codegen_base import generate_base_program
-from repro.core.codegen_saris import generate_saris_program
+import importlib
+
+#: Public names and their modules, resolved on first use (PEP 562): the
+#: kernel registry loads without NumPy or the code generators.
+_LAZY = {
+    **dict.fromkeys(("BinOp", "Coeff", "Const", "Expr", "GridRef", "add",
+                     "mul", "sub", "count_flops", "grid_refs"),
+                    "repro.core.ir"),
+    "StencilKernel": "repro.core.stencil",
+    **dict.fromkeys(("TABLE1_KERNELS", "all_kernels", "get_kernel",
+                     "kernel_names", "register_kernel"),
+                    "repro.core.kernels"),
+    "TileLayout": "repro.core.layout",
+    "CoreGeometry": "repro.core.parallel",
+    "cluster_geometry": "repro.core.parallel",
+    "SarisMapping": "repro.core.saris",
+    "map_streams": "repro.core.saris",
+    "generate_base_program": "repro.core.codegen_base",
+    "generate_saris_program": "repro.core.codegen_saris",
+}
 
 
 def __getattr__(name):
-    # Live view of the kernel registry (PEP 562), matching repro.core.kernels
-    # — a frozen import-time snapshot here would miss plug-in kernels.
+    # Live view of the kernel registry, matching repro.core.kernels — a
+    # frozen snapshot here would miss plug-in kernels.
     if name == "KERNEL_NAMES":
+        from repro.core.kernels import kernel_names
+
         return kernel_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "BinOp",
-    "Coeff",
-    "Const",
-    "Expr",
-    "GridRef",
-    "add",
-    "mul",
-    "sub",
-    "count_flops",
-    "grid_refs",
-    "StencilKernel",
-    "KERNEL_NAMES",
-    "TABLE1_KERNELS",
-    "get_kernel",
-    "all_kernels",
-    "kernel_names",
-    "register_kernel",
-    "TileLayout",
-    "CoreGeometry",
-    "cluster_geometry",
-    "SarisMapping",
-    "map_streams",
-    "generate_base_program",
-    "generate_saris_program",
-]
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = ["KERNEL_NAMES", *_LAZY]

@@ -8,10 +8,9 @@ derived properties reproduce the per-kernel characteristics of Table 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.ir import (
     Expr,
@@ -22,6 +21,9 @@ from repro.core.ir import (
     grid_refs,
     max_offset_radius,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class KernelError(ValueError):
@@ -146,7 +148,7 @@ class StencilKernel:
 
     def interior_points(self, tile_shape: Optional[Tuple[int, ...]] = None) -> int:
         """Number of points updated per tile."""
-        return int(np.prod(self.interior_shape(tile_shape)))
+        return math.prod(self.interior_shape(tile_shape))
 
     def flops_per_tile(self, tile_shape: Optional[Tuple[int, ...]] = None) -> int:
         """Total FLOPs for one time iteration over a tile."""
@@ -155,6 +157,8 @@ class StencilKernel:
     def make_grids(self, tile_shape: Optional[Tuple[int, ...]] = None,
                    seed: int = 0) -> Dict[str, np.ndarray]:
         """Create random input grids (and a zeroed output grid) for a tile."""
+        import numpy as np
+
         shape = tuple(tile_shape or self.default_tile)
         rng = np.random.default_rng(seed)
         grids = {name: rng.uniform(-1.0, 1.0, size=shape) for name in self.inputs}
@@ -169,7 +173,7 @@ class StencilKernel:
         to total points and extra I/O arrays add traffic.
         """
         shape = tuple(tile_shape or self.default_tile)
-        tile_points = int(np.prod(shape))
+        tile_points = math.prod(shape)
         interior = self.interior_points(shape)
         bytes_in = len(self.inputs) * tile_points * 8
         bytes_out = interior * 8

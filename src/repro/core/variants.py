@@ -22,15 +22,15 @@ pair; :func:`paper_variants` feeds the artifact pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
-from repro.core.codegen_base import generate_base_program
-from repro.core.codegen_common import GeneratedProgram
-from repro.core.codegen_saris import generate_saris_program
 from repro.registry import Registry
 
+if TYPE_CHECKING:
+    from repro.core.codegen_common import GeneratedProgram
+
 #: Backend signature: (kernel, layout, geometry, cluster, **codegen_kwargs).
-VariantBackend = Callable[..., GeneratedProgram]
+VariantBackend = Callable[..., "GeneratedProgram"]
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,23 @@ def paper_variants() -> Tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Built-in backends
+# Built-in backends (each imports its generator on first call, so naming a
+# variant, e.g. to validate a job, loads no code generator)
 # ---------------------------------------------------------------------------
 
 @register_variant("base", paper=True,
                   description="optimized RV32G baseline (scalar loads/stores)")
 def _generate_base(kernel, layout, geometry, cluster, **codegen_kwargs):
+    from repro.core.codegen_base import generate_base_program
+
     return generate_base_program(kernel, layout, geometry, **codegen_kwargs)
 
 
 @register_variant("saris", paper=True,
                   description="SSSR+FREP stream-accelerated variant (SARIS)")
 def _generate_saris(kernel, layout, geometry, cluster, **codegen_kwargs):
+    from repro.core.codegen_saris import generate_saris_program
+
     return generate_saris_program(kernel, layout, geometry, cluster.allocator,
                                   frep_limit=cluster.params.frep_max_insts,
                                   **codegen_kwargs)

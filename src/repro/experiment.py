@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
-from repro.analysis import format_table
 from repro.core.kernels import get_kernel
 from repro.core.stencil import StencilKernel
 from repro.core.variants import get_variant, paper_variants
 from repro.machine import DEFAULT_MACHINE_NAME, MachineSpec, resolve_machine
-from repro.sweep.engine import ProgressFn, SweepReport, run_sweep
 from repro.sweep.job import DEFAULT_MAX_CYCLES, SweepJob
 from repro.sweep.store import ResultStore
+
+if TYPE_CHECKING:
+    from repro.sweep.engine import ProgressFn, SweepReport
 
 #: Default columns of :meth:`ResultSet.table`.
 TABLE_COLUMNS = ("kernel", "variant", "machine", "cycles", "fpu_util", "ipc",
@@ -248,6 +249,8 @@ class ResultSet:
     def table(self, columns: Sequence[str] = TABLE_COLUMNS,
               title: Optional[str] = None) -> str:
         """Render the set as an aligned text table."""
+        from repro.analysis import format_table
+
         rows = []
         for record in self.records:
             row = []
@@ -410,6 +413,7 @@ class Experiment:
         (Windows/macOS), put registrations in an importable module or run
         plug-in sweeps with ``workers=1``.
         """
+        from repro.sweep.engine import run_sweep
         from repro.sweep.supervisor import RetryPolicy
 
         retry = None

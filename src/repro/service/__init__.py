@@ -27,66 +27,39 @@ without a configured server falls back to an in-process queue and the
 exact code path the daemon runs.
 """
 
-from repro.service.client import ServiceClient, ServiceError, configured_url
-from repro.service.fabric import (
-    DEFAULT_LEASE_TTL,
-    FabricCoordinator,
-    FabricError,
-)
-from repro.service.queue import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    JobEntry,
-    JobQueue,
-    QueueError,
-    SweepEntry,
-)
-from repro.service.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    TOKEN_ENV_VAR,
-    URL_ENV_VAR,
-    ReproService,
-)
-from repro.service.spec import (
-    SpecError,
-    experiment_to_wire,
-    job_from_wire,
-    job_to_wire,
-    jobs_from_payload,
-)
-from repro.service.worker import FabricWorker
+import importlib
 
-__all__ = [
-    "CANCELLED",
-    "DEFAULT_HOST",
-    "DEFAULT_LEASE_TTL",
-    "DEFAULT_PORT",
-    "DONE",
-    "FAILED",
-    "FabricCoordinator",
-    "FabricError",
-    "FabricWorker",
-    "JobEntry",
-    "JobQueue",
-    "QUEUED",
-    "QueueError",
-    "RUNNING",
-    "ReproService",
-    "ServiceClient",
-    "ServiceError",
-    "SpecError",
-    "SweepEntry",
-    "TERMINAL_STATES",
-    "TOKEN_ENV_VAR",
-    "URL_ENV_VAR",
-    "configured_url",
-    "experiment_to_wire",
-    "job_from_wire",
-    "job_to_wire",
-    "jobs_from_payload",
-]
+#: Public names and their modules, resolved on first use (PEP 562): the
+#: client loads without the daemon, and neither loads the simulator.
+_LAZY = {
+    **dict.fromkeys(("ServiceClient", "ServiceError", "configured_url",
+                     "TOKEN_ENV_VAR", "URL_ENV_VAR"),
+                    "repro.service.client"),
+    **dict.fromkeys(("DEFAULT_LEASE_TTL", "FabricCoordinator",
+                     "FabricError"), "repro.service.fabric"),
+    **dict.fromkeys(("CANCELLED", "DONE", "FAILED", "QUEUED", "RUNNING",
+                     "TERMINAL_STATES", "JobEntry", "JobQueue", "QueueError",
+                     "SweepEntry"), "repro.service.queue"),
+    **dict.fromkeys(("DEFAULT_HOST", "DEFAULT_PORT", "ReproService"),
+                    "repro.service.server"),
+    **dict.fromkeys(("SpecError", "experiment_to_wire", "job_from_wire",
+                     "job_to_wire", "jobs_from_payload"),
+                    "repro.service.spec"),
+    "FabricWorker": "repro.service.worker",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = list(_LAZY)

@@ -23,7 +23,11 @@ from http.client import HTTPConnection, HTTPException
 from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.service.server import TOKEN_ENV_VAR, URL_ENV_VAR
+#: Environment variable holding the daemon's static api key.
+TOKEN_ENV_VAR = "REPRO_SERVICE_TOKEN"
+
+#: Environment variable a client uses to find the daemon.
+URL_ENV_VAR = "REPRO_SERVICE_URL"
 
 
 class ServiceError(RuntimeError):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro import obs
-from repro.runner import KernelRunResult
+from repro.result import KernelRunResult
 from repro.service.queue import QUEUED, RUNNING, JobQueue
 from repro.service.spec import job_to_wire
 

@@ -50,7 +50,7 @@ from typing import (AsyncIterator, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro import obs
-from repro.runner import KernelRunResult
+from repro.result import KernelRunResult
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore
 from repro.sweep.supervisor import RetryPolicy, SupervisedPool
@@ -108,6 +108,9 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 #: ``"memo"`` (already terminal in this queue's memory).
 SOURCES = ("executed", "store", "memo")
 
+#: Compact JSON through the C encoder, keys in the payload's own order.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 class QueueError(RuntimeError):
     """Misuse of the job queue (unknown ids, not started, closed)."""
@@ -121,7 +124,12 @@ class JobEntry:
     hash: str
     state: str = QUEUED
     source: str = "executed"
-    result: Optional[KernelRunResult] = None
+    #: A ``done`` job's result as compact JSON text (its
+    #: :meth:`~repro.result.KernelRunResult.to_json_dict` payload), parsed
+    #: only when a caller asks for it, and its headline metrics, which
+    #: every ``done`` event carries.
+    result: Optional[str] = field(default=None, repr=False)
+    metrics: Optional[Dict[str, object]] = None
     error: Optional[Dict[str, object]] = None
     submitted_at: float = 0.0
     started_at: Optional[float] = None
@@ -164,10 +172,22 @@ class JobEntry:
         if self.error is not None:
             payload["error"] = dict(self.error)
         if self.result is not None:
-            payload["metrics"] = _metrics_summary(self.result)
+            payload["metrics"] = dict(self.metrics)
             if include_result:
-                payload["result"] = self.result.to_json_dict()
+                payload["result"] = json.loads(self.result)
         return payload
+
+    def set_result(self, result: KernelRunResult) -> None:
+        """Keep ``result`` as text plus its headline metrics."""
+        self.result = _JSON.encode(result.to_json_dict())
+        self.metrics = {
+            "cycles": result.cycles,
+            "fpu_util": result.fpu_util,
+            "ipc": result.ipc,
+            "flops_per_cycle": result.flops_per_cycle,
+            "correct": result.correct,
+            "engine": result.engine,
+        }
 
 
 @dataclass
@@ -225,18 +245,6 @@ class SweepEntry:
                 return CANCELLED
             return DONE
         return RUNNING if RUNNING in states else QUEUED
-
-
-def _metrics_summary(result: KernelRunResult) -> Dict[str, object]:
-    """The headline metrics carried on ``done`` events and job status."""
-    return {
-        "cycles": result.cycles,
-        "fpu_util": result.fpu_util,
-        "ipc": result.ipc,
-        "flops_per_cycle": result.flops_per_cycle,
-        "correct": result.correct,
-        "engine": result.engine,
-    }
 
 
 class JobQueue:
@@ -391,7 +399,7 @@ class JobQueue:
             if cached is not None:
                 entry.state = DONE
                 entry.source = "store"
-                entry.result = cached
+                entry.set_result(cached)
                 entry.finished_at = time.time()
                 entry.finished_mono = time.monotonic()
                 self.cache_hits += 1
@@ -415,11 +423,6 @@ class JobQueue:
         if entry is None:
             raise KeyError(job_hash)
         return entry.status_dict(include_result=include_result)
-
-    def job_result(self, job_hash: str) -> Optional[KernelRunResult]:
-        """The finished result of a job hash, or ``None`` if not done."""
-        entry = self._jobs.get(job_hash)
-        return entry.result if entry is not None else None
 
     def sweep_status(self, sweep_id: str) -> Dict[str, object]:
         """Status payload of one sweep (raises on unknown ids)."""
@@ -481,8 +484,8 @@ class JobQueue:
                          spans: Sequence[Dict[str, object]]) -> int:
         """Stitch spans uploaded by a remote worker into their sweep.
 
-        Returns how many were accepted; spans for unknown traces are
-        dropped (the sweep may have been evicted, or the upload is stale).
+        Returns how many were accepted; spans for unknown traces (an
+        upload from before a coordinator restart) are dropped.
         """
         sweep = self._sweeps.get(self._trace_to_sweep.get(trace_id, ""))
         if sweep is None:
@@ -641,7 +644,7 @@ class JobQueue:
         if error is None:
             entry.state = DONE
             entry.source = "executed"
-            entry.result = result
+            entry.set_result(result)
             entry.degraded = degraded
             self.executed += 1
             _OBS_EXECUTED.inc()
@@ -679,7 +682,7 @@ class JobQueue:
         """Emit the ``done`` / ``failed`` / ``cancelled`` event for a job."""
         if entry.state == DONE:
             self._emit(entry, "done", sweeps=sweeps, source=entry.source,
-                       metrics=_metrics_summary(entry.result),
+                       metrics=entry.metrics,
                        attempts=entry.attempts, degraded=entry.degraded)
         elif entry.state == FAILED:
             self._emit(entry, "failed", sweeps=sweeps,

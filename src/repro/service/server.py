@@ -60,14 +60,9 @@ from typing import Dict, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import __version__, obs
+from repro.service.client import TOKEN_ENV_VAR, URL_ENV_VAR  # noqa: F401
 from repro.service.queue import JobQueue, QueueError
 from repro.service.spec import SpecError, jobs_from_payload
-
-#: Environment variable holding the static api key.
-TOKEN_ENV_VAR = "REPRO_SERVICE_TOKEN"
-
-#: Environment variable a client uses to find the daemon.
-URL_ENV_VAR = "REPRO_SERVICE_URL"
 
 #: Default bind address; loopback on purpose — put a real reverse proxy in
 #: front for anything wider.
@@ -489,8 +484,6 @@ class ReproService:
         payload: Dict[str, object] = {
             "version": __version__,
             "queue": self.queue.stats(),
-            "store": (self.queue.store.stats()
-                      if self.queue.store is not None else None),
             "metrics": obs.snapshot(),
         }
         if self.fabric is not None:
@@ -500,6 +493,9 @@ class ReproService:
                 payload.update(self.stats_extra())
             except Exception as exc:  # noqa: BLE001 - stats must not 500
                 payload["stats_extra_error"] = f"{type(exc).__name__}: {exc}"
+        if "store" not in payload:  # the doctor report carries its own
+            payload["store"] = (self.queue.store.stats()
+                                if self.queue.store is not None else None)
         return _json_response(200, payload)
 
     async def _stream_events(self, writer, sweep_id: str,

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ActivityCounters:
@@ -97,6 +95,10 @@ class ClusterResult:
         """Mean per-core FPU utilization over the full run."""
         if not self.cores:
             return 0.0
+        # np.mean, not sum(): NumPy adds the 8 cores' values pairwise, and
+        # a plain sum can differ in the last bit.
+        import numpy as np
+
         return float(np.mean([core.fpu_util for core in self.cores]))
 
     @property
@@ -104,6 +106,8 @@ class ClusterResult:
         """Mean per-core IPC over the full run."""
         if not self.cores:
             return 0.0
+        import numpy as np
+
         return float(np.mean([core.ipc for core in self.cores]))
 
     @property
@@ -125,6 +129,8 @@ class ClusterResult:
         """Relative spread of per-core completion times (max/mean - 1)."""
         if not self.cores:
             return 0.0
+        import numpy as np
+
         per_core = [core.cycles for core in self.cores]
         mean = float(np.mean(per_core))
         if mean == 0:

@@ -23,49 +23,37 @@ jobs.  This package turns that observation into infrastructure:
   ``repro reproduce``.
 """
 
-from repro.sweep import faults
-from repro.sweep.engine import (
-    ON_ERROR_MODES,
-    WORKERS_ENV_VAR,
-    SweepReport,
-    execute_job,
-    resolve_workers,
-    run_jobs,
-    run_sweep,
-)
-from repro.sweep.faults import FAULT_ENV_VAR, FaultInjector, FaultSpec, InjectedFault
-from repro.sweep.job import SweepJob
-from repro.sweep.store import DEFAULT_CACHE_DIR, ENGINE_VERSION, ResultStore
-from repro.sweep.supervisor import (
-    BACKOFF_ENV_VAR,
-    RETRIES_ENV_VAR,
-    TIMEOUT_ENV_VAR,
-    JobFailure,
-    RetryPolicy,
-    SweepJobError,
-)
+import importlib
 
-__all__ = [
-    "BACKOFF_ENV_VAR",
-    "DEFAULT_CACHE_DIR",
-    "ENGINE_VERSION",
-    "FAULT_ENV_VAR",
-    "FaultInjector",
-    "FaultSpec",
-    "InjectedFault",
-    "JobFailure",
-    "ON_ERROR_MODES",
-    "RETRIES_ENV_VAR",
-    "ResultStore",
-    "RetryPolicy",
-    "SweepJob",
-    "SweepJobError",
-    "SweepReport",
-    "TIMEOUT_ENV_VAR",
-    "WORKERS_ENV_VAR",
-    "execute_job",
-    "faults",
-    "resolve_workers",
-    "run_jobs",
-    "run_sweep",
-]
+#: Public names and their modules, resolved on first use (PEP 562): job
+#: specs and the store load without the simulator, which only the
+#: execution paths need.  ``faults`` is a submodule, imported on request.
+_LAZY = {
+    **dict.fromkeys(("ON_ERROR_MODES", "WORKERS_ENV_VAR", "SweepReport",
+                     "execute_job", "resolve_workers", "run_jobs",
+                     "run_sweep"), "repro.sweep.engine"),
+    **dict.fromkeys(("FAULT_ENV_VAR", "FaultInjector", "FaultSpec",
+                     "InjectedFault"), "repro.sweep.faults"),
+    "SweepJob": "repro.sweep.job",
+    **dict.fromkeys(("DEFAULT_CACHE_DIR", "ENGINE_VERSION", "ResultStore"),
+                    "repro.sweep.store"),
+    **dict.fromkeys(("BACKOFF_ENV_VAR", "RETRIES_ENV_VAR", "TIMEOUT_ENV_VAR",
+                     "JobFailure", "RetryPolicy", "SweepJobError"),
+                    "repro.sweep.supervisor"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = [*_LAZY, "faults"]

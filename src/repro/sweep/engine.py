@@ -47,7 +47,7 @@ from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.runner import KernelRunResult
+from repro.result import KernelRunResult
 from repro.sweep import faults
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore

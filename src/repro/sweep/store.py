@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 from repro import obs
 from repro.fingerprint import source_fingerprint
-from repro.runner import KernelRunResult
+from repro.result import KernelRunResult
 from repro.sweep.job import SweepJob
 
 #: Version stamp of the simulation engine, for *semantic* invalidation (e.g.
@@ -47,7 +47,8 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: Packages/modules whose source content determines every stored metric.
 #: ``snitch`` includes the native engine's C source (see
 #: :mod:`repro.fingerprint`, which sweeps ``.py`` and ``.c`` files).
-_METRIC_SOURCES = ("runner.py", "machine.py", "core", "isa", "snitch")
+_METRIC_SOURCES = ("runner.py", "result.py", "machine.py", "core", "isa",
+                   "snitch")
 
 #: Stale in-flight temp files (``*.json.tmp<pid>``) older than this many
 #: seconds are swept at store construction — they can only be left behind by
@@ -282,17 +283,23 @@ class ResultStore:
         so stale version dirs and quarantined corpses from older engine
         states are visible too.
         """
-        entries = len(self)
+        version_dir = self.version_dir
+        entries = 0
         version_dirs = 0
         total_bytes = 0
         total_entries = 0
         corrupt_files = 0
         try:
+            # One listing per version directory: this runs on the daemon's
+            # event loop for every ``GET /v1/stats``.
             for directory in self.root.glob("v*"):
                 if not directory.is_dir():
                     continue
                 version_dirs += 1
+                current = directory == version_dir
                 for path in directory.iterdir():
+                    if current and path.name.endswith(".json"):
+                        entries += 1
                     try:
                         total_bytes += path.stat().st_size
                     except OSError:
@@ -305,7 +312,7 @@ class ResultStore:
             pass
         return {
             "root": str(self.root),
-            "version_dir": str(self.version_dir),
+            "version_dir": str(version_dir),
             "engine_version": self.engine_version,
             "entries": entries,
             "total_entries": total_entries,

@@ -58,7 +58,7 @@ from multiprocessing.connection import wait
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro import obs
-from repro.runner import KernelRunResult
+from repro.result import KernelRunResult
 from repro.sweep.job import SweepJob
 
 #: Supervision metrics: every attempt / retry / degradation / fault across
@@ -513,9 +513,13 @@ class SupervisedPool:
     """
 
     def __init__(self, workers: int, policy: RetryPolicy) -> None:
+        # Fork workers are cheap and inherit the parent's warm caches: load
+        # the simulator here, once, not in every worker and replacement.
+        import repro.runner  # noqa: F401
+        import repro.sweep.engine  # noqa: F401
+
         self.workers = max(1, int(workers))
         self.policy = policy
-        # Fork workers are cheap and inherit the parent's warm caches.
         self._context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else None)

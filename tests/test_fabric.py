@@ -116,6 +116,11 @@ class TestFabricProtocol:
             payload = client.job(grant["hash"])
             assert payload["state"] == "done"
             assert payload["metrics"]["correct"] is True
+            served = KernelRunResult.from_json_dict(payload["result"])
+            assert served.metrics_hash() == result.metrics_hash()
+            entry = service.queue._jobs[grant["hash"]]
+            assert not any(isinstance(value, KernelRunResult)
+                           for value in vars(entry).values())
             stats = client.stats()["fabric"]
             assert stats["granted"] == 1 and stats["completed"] == 1
             assert stats["workers"]["total"] == 1

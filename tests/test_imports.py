@@ -3,7 +3,9 @@
 A fresh process pays only for what it uses: the package top levels
 resolve their public names on first use, the CLI imports per subcommand,
 and the native engine binds through the standard library's ctypes, so
-neither NumPy nor a C parser loads on the way to a ready engine.
+neither NumPy nor a C parser loads on the way to a ready engine.  The
+fabric coordinator and the service client never load the simulator at
+all; a supervised pool loads it in its parent, before the first fork.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Modules the cold path must not load.
 HEAVY = ("numpy", "cffi", "pycparser")
+
+#: The simulator, which neither the fabric coordinator nor the client
+#: needs (a trailing ``_`` matches every module with that prefix).
+SIMULATOR = ("numpy", "repro.runner", "repro.snitch.cluster",
+             "repro.core.codegen_")
 
 #: Every name ``import repro`` used to bind eagerly.
 PUBLIC_NAMES = (
@@ -50,6 +57,18 @@ def run_fresh(code: str) -> object:
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def loaded_after(code: str, modules=SIMULATOR) -> list:
+    """Which of ``modules`` (names, or prefixes ending in ``_``) a new
+    interpreter has loaded after running ``code``."""
+    return run_fresh(code + textwrap.dedent(f"""
+        import json as _json, sys as _sys
+        print(_json.dumps(sorted(
+            name for name in _sys.modules for module in {tuple(modules)!r}
+            if name == module
+            or (module.endswith("_") and name.startswith(module)))))
+        """))
 
 
 def imported_by(*args: str) -> set:
@@ -117,3 +136,85 @@ def test_engine_loads_without_cffi():
         print(json.dumps([native.available(), native.disabled_reason()]))
         """)
     assert result == [True, None]
+
+
+class TestServiceWithoutSimulator:
+    def test_coordinator_modules_load_no_simulator(self):
+        assert loaded_after("import repro.service.server, "
+                            "repro.service.fabric, repro.doctor\n") == []
+
+    def test_client_loads_neither_the_daemon_nor_numpy(self):
+        assert loaded_after("import repro.service.client\n",
+                            ("asyncio", "numpy", "repro.service.queue")) == []
+
+    def test_fabric_round_trip_never_loads_numpy(self):
+        """Submits (a job list, an Experiment with an inline machine), a
+        lease, a canned upload and a malformed one, over real HTTP to an
+        in-process fabric daemon."""
+        from repro.sweep import SweepJob, execute_job
+        from tests.conftest import small_tile
+
+        canned = execute_job(SweepJob.make(
+            "jacobi_2d", "base", tile_shape=small_tile("jacobi_2d")))
+        canned_text = json.dumps(json.dumps(canned.to_json_dict()))
+        result = run_fresh(f"""
+            import asyncio, json, sys, threading
+            from repro.service.client import ServiceClient, ServiceError
+            from repro.service.fabric import FabricCoordinator
+            from repro.service.queue import JobQueue
+            from repro.service.server import ReproService
+
+            loop = asyncio.new_event_loop()
+            threading.Thread(target=loop.run_forever, daemon=True).start()
+
+            async def boot():
+                queue = JobQueue(dispatch="fabric")
+                service = ReproService(queue, port=0,
+                                       fabric=FabricCoordinator(queue))
+                return await service.start()
+
+            service = asyncio.run_coroutine_threadsafe(boot(), loop).result(30)
+            client = ServiceClient(service.url)
+            client.submit({{"jobs": [{{"kernel": "jacobi_2d",
+                                       "variant": "base",
+                                       "tile_shape": [12, 12]}}]}})
+            machine = {{"name": "tiny", "num_cores": 4, "tcdm_banks": 16}}
+            client.submit({{"experiment": {{
+                "kernels": ["j2d5pt"], "variants": ["base", "saris"],
+                "machines": [machine], "tiles": [[12, 12]]}}}})
+            grants = client.lease("w1", capacity=2)["grants"]
+            first, second = grants
+            client.complete(first["lease"], {{
+                "ok": True, "hash": first["hash"],
+                "result": json.loads({canned_text})}})
+            try:
+                client.complete(second["lease"], {{
+                    "ok": True, "hash": second["hash"],
+                    "result": {{"kernel": "j2d5pt"}}}})
+                status = None
+            except ServiceError as exc:
+                status = exc.status
+            served = client.job(first["hash"])["result"]
+            states = [client.job(g["hash"])["state"] for g in grants]
+            client.close()
+            asyncio.run_coroutine_threadsafe(service.close(), loop).result(30)
+            print(json.dumps({{
+                "grants": len(grants),
+                "malformed": status,
+                "states": states,
+                "served": served,
+                "numpy": "numpy" in sys.modules,
+            }}))
+            """)
+        assert result == {"grants": 2, "malformed": 400,
+                          "states": ["done", "running"],
+                          "served": canned.to_json_dict(), "numpy": False}
+
+
+def test_supervised_pool_loads_the_simulator_before_forking():
+    assert loaded_after("import repro.sweep.supervisor\n") == []
+    assert loaded_after(
+        "from repro.sweep.supervisor import RetryPolicy, SupervisedPool\n"
+        "SupervisedPool(1, RetryPolicy()).close()\n",
+        ("numpy", "repro.runner", "repro.snitch.cluster")) == [
+            "numpy", "repro.runner", "repro.snitch.cluster"]

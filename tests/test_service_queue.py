@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.result import KernelRunResult
 from repro.service import (
     CANCELLED,
     DONE,
@@ -218,6 +219,36 @@ class TestDedupe:
         assert stats["executed"] == 0 and stats["cache_hits"] == 1
         assert kinds(events) == ["submitted", "done", "sweep_done"]
         assert events[1]["source"] == "store"
+
+
+    def test_done_entries_keep_results_as_text(self, tmp_path):
+        """Executed and store-served jobs alike: the entry holds JSON text
+        and the headline metrics, never a parsed result, and serves the
+        result back unchanged."""
+        job = job_for()
+
+        async def main():
+            queue = await JobQueue(store=ResultStore(tmp_path), workers=1,
+                                   pool=ThreadPool(fake_result)).start()
+            try:
+                sweep = await queue.submit([job])
+                await drain(queue, sweep.id)
+                entry = queue._jobs[job.content_hash()]
+                return entry, queue.job_status(entry.hash,
+                                               include_result=True)
+            finally:
+                await queue.close()
+
+        expected = fake_result(job)
+        for source in ("executed", "store"):
+            entry, status = asyncio.run(main())
+            assert entry.source == source
+            assert isinstance(entry.result, str)
+            assert not any(isinstance(value, KernelRunResult)
+                           for value in vars(entry).values())
+            served = KernelRunResult.from_json_dict(status["result"])
+            assert served.metrics_hash() == expected.metrics_hash()
+            assert status["metrics"]["cycles"] == expected.cycles
 
 
 class TestCoalescing:

@@ -9,8 +9,10 @@ HTTP/1.1 parsing, routing, auth, SSE framing) is exercised, not mocked.
 import asyncio
 import contextlib
 import json
+import os
 import threading
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,32 @@ class TestStats:
             assert stats["store"]["entries"] == 1
             assert "native" in stats and "ok" in stats
             assert stats["native"].keys() >= {"available"}
+
+    def test_stats_lists_the_store_once(self, tmp_path, monkeypatch):
+        """``GET /v1/stats`` runs on the event loop, and both the queue's
+        and the doctor's part describe the store: one directory listing
+        must serve both."""
+        store = ResultStore(tmp_path)
+        version_dir = store.version_dir
+        listings = []
+        for name in ("listdir", "scandir"):
+            def counting(path=".", _list=getattr(os, name)):
+                if (isinstance(path, (str, os.PathLike))
+                        and Path(path) == version_dir):
+                    listings.append(path)
+                return _list(path)
+
+            monkeypatch.setattr(os, name, counting)
+        with running_server(
+                store=store,
+                stats_extra=lambda: doctor_report(store=store)) as (
+                service, client):
+            receipt = client.submit({"jobs": [JOB_WIRE]})
+            client.wait(receipt["sweep"])
+            listings.clear()
+            stats = client.stats()
+        assert stats["store"]["entries"] == 1
+        assert len(listings) == 1
 
     def test_warm_store_restart_is_pure_cache_service(self, tmp_path):
         """Daemon restart against a warm store: resubmit costs zero sims."""
