@@ -523,7 +523,6 @@ def _cmd_serve(args) -> int:
     import dataclasses
 
     from repro import obs
-    from repro.doctor import doctor_report
     from repro.service import DEFAULT_HOST, DEFAULT_PORT, JobQueue, ReproService
     from repro.sweep.store import ResultStore
     from repro.sweep.supervisor import RetryPolicy
@@ -554,8 +553,6 @@ def _cmd_serve(args) -> int:
         host=args.host if args.host is not None else DEFAULT_HOST,
         port=args.port if args.port is not None else DEFAULT_PORT,
         token=args.token,
-        stats_extra=lambda: doctor_report(cache_dir=args.cache_dir,
-                                          store=store),
         fabric=fabric)
 
     async def main() -> None:

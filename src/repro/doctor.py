@@ -1,10 +1,12 @@
 """Machine-readable environment diagnostics shared by CLI and service.
 
-``repro doctor --json`` and the daemon's ``GET /v1/stats`` serve the same
-payload, built here, so ops tooling has exactly one schema to parse:
-native-engine build health (compiler, flags, ABI, availability, watchdog,
-per-process run counters) plus result-store health
-(:meth:`~repro.sweep.store.ResultStore.stats`).
+``repro doctor --json`` and the ``GET /v1/stats`` of a daemon that runs
+jobs serve the same payload, built here, so ops tooling has exactly one
+schema to parse: native-engine build health (compiler, flags, ABI,
+availability, watchdog, per-process run counters) plus result-store health
+(:meth:`~repro.sweep.store.ResultStore.stats`).  A fabric coordinator runs
+no job and never loads the engine, so its ``/v1/stats`` carries only the
+store's part.
 """
 
 from __future__ import annotations

@@ -140,21 +140,17 @@ class ReproService:
     """The daemon: one :class:`JobQueue` behind the HTTP surface.
 
     ``port=0`` binds an ephemeral port (tests); the bound port is on
-    :attr:`port` after :meth:`start`.  ``stats_extra`` is an optional
-    zero-argument callable merged into ``/v1/stats`` — the CLI passes the
-    doctor report so ops tooling gets native-engine and store diagnostics
-    from the same endpoint.
+    :attr:`port` after :meth:`start`.
     """
 
     def __init__(self, queue: JobQueue, host: str = DEFAULT_HOST,
                  port: int = DEFAULT_PORT, token: Optional[str] = None,
-                 stats_extra=None, fabric=None) -> None:
+                 fabric=None) -> None:
         self.queue = queue
         self.host = host
         self.port = port
         self.token = (token if token is not None
                       else os.environ.get(TOKEN_ENV_VAR, "").strip() or None)
-        self.stats_extra = stats_extra
         #: Optional :class:`~repro.service.fabric.FabricCoordinator`; when
         #: set, the ``/v1/fabric/*`` routes come alive and its lifecycle is
         #: tied to the server's.
@@ -486,16 +482,17 @@ class ReproService:
             "queue": self.queue.stats(),
             "metrics": obs.snapshot(),
         }
+        store = self.queue.store
         if self.fabric is not None:
+            # A coordinator runs no job, so it never loads the engine.
             payload["fabric"] = self.fabric.stats()
-        if self.stats_extra is not None:
-            try:
-                payload.update(self.stats_extra())
-            except Exception as exc:  # noqa: BLE001 - stats must not 500
-                payload["stats_extra_error"] = f"{type(exc).__name__}: {exc}"
-        if "store" not in payload:  # the doctor report carries its own
-            payload["store"] = (self.queue.store.stats()
-                                if self.queue.store is not None else None)
+            payload["store"] = store.stats() if store is not None else None
+        else:
+            # A daemon that runs jobs also serves the `repro doctor
+            # --json` payload: the engine's build health and the store's.
+            from repro.doctor import doctor_report
+
+            payload.update(doctor_report(store=store))
         return _json_response(200, payload)
 
     async def _stream_events(self, writer, sweep_id: str,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -209,6 +210,32 @@ class TestServiceWithoutSimulator:
         assert result == {"grants": 2, "malformed": 400,
                           "states": ["done", "running"],
                           "served": canned.to_json_dict(), "numpy": False}
+
+    @pytest.mark.skipif(not (native.available()
+                             and Path("/proc/self/maps").exists()),
+                        reason="needs the native engine and /proc")
+    def test_coordinator_stats_never_map_the_engine(self, tmp_path):
+        """A ``repro serve --fabric`` process answers ``/v1/stats``
+        without loading the native engine it never runs."""
+        from repro.service.client import ServiceClient
+
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--fabric",
+                 "--port", "0", "--cache-dir", str(tmp_path)],
+                stdout=subprocess.PIPE, text=True, env=fresh_env()) as proc:
+            try:
+                banner = proc.stdout.readline()
+                url = re.search(r"listening on (\S+)", banner).group(1)
+                client = ServiceClient(url)
+                stats = client.stats()
+                client.close()
+                maps = Path(f"/proc/{proc.pid}/maps").read_text()
+            finally:
+                proc.terminate()
+                proc.wait(30)
+        assert re.findall(r"/engine-[^/\s]*\.so$", maps, re.M) == []
+        assert sorted(stats) == ["fabric", "metrics", "queue", "store",
+                                 "version"]
 
 
 def test_supervised_pool_loads_the_simulator_before_forking():
