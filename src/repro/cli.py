@@ -345,11 +345,15 @@ def _cmd_reproduce(args) -> int:
 
     # The result store takes these as parameters; the codegen compile cache
     # and the native-engine build cache read the environment, so thread the
-    # CLI's cache choices through to them (workers inherit the env).
+    # CLI's cache choices through to them while the command runs (workers
+    # forked meanwhile inherit them), then restore the caller's values.
+    overrides = {}
     if args.no_cache:
-        os.environ["REPRO_CODEGEN_CACHE"] = "0"
+        overrides["REPRO_CODEGEN_CACHE"] = "0"
     if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
+        overrides["REPRO_CACHE_DIR"] = args.cache_dir
+    saved = {name: os.environ.get(name) for name in overrides}
+    os.environ.update(overrides)
     try:
         report = reproduce(subset=args.subset, workers=args.workers,
                            use_cache=not args.no_cache,
@@ -363,6 +367,12 @@ def _cmd_reproduce(args) -> int:
         print("\ninterrupted — completed jobs are saved; re-run with "
               "--resume to finish the remainder", file=sys.stderr)
         return 130
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
     print(render_report(report))
     if args.output:
         with open(args.output, "w") as fh:
@@ -450,8 +460,9 @@ def _cmd_doctor(args) -> int:
     from repro.analysis import format_table
     from repro.doctor import doctor_report
     from repro.service import configured_url
+    from repro.sweep.store import ResultStore
 
-    payload = doctor_report(cache_dir=args.cache_dir,
+    payload = doctor_report(store=ResultStore(args.cache_dir),
                             service_url=configured_url(args.url))
     info = payload["native"]
     store_stats = payload["store"]
@@ -541,13 +552,9 @@ def _cmd_serve(args) -> int:
                      dispatch="fabric" if args.fabric else "local")
     fabric = None
     if args.fabric:
-        from repro.service.fabric import TTL_ENV_VAR, FabricCoordinator
+        from repro.service.fabric import FabricCoordinator
 
-        ttl = args.lease_ttl
-        if ttl is None:
-            env_ttl = os.environ.get(TTL_ENV_VAR, "").strip()
-            ttl = float(env_ttl) if env_ttl else None
-        fabric = FabricCoordinator(queue, ttl=ttl)
+        fabric = FabricCoordinator(queue, ttl=args.lease_ttl)
     service = ReproService(
         queue,
         host=args.host if args.host is not None else DEFAULT_HOST,
@@ -1053,7 +1060,7 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=None,
                          help="bind port; 0 picks an ephemeral one "
-                              "(default: 8751)")
+                              "(default: 8765)")
     serve_p.add_argument("--workers", type=int, default=None,
                          help="worker processes, one simulation each at a "
                               "time (default: $REPRO_SWEEP_WORKERS or the "
@@ -1076,8 +1083,9 @@ def build_parser(command: str = "") -> argparse.ArgumentParser:
                               "jobs are leased to `repro worker` processes "
                               "over /v1/fabric with TTL-based ownership")
     serve_p.add_argument("--lease-ttl", type=_positive(float), default=None,
-                         help="fabric lease TTL in seconds (default: "
-                              "$REPRO_FABRIC_TTL or 10)")
+                         help="fabric lease TTL in seconds: a worker "
+                              "that sends no heartbeat for this long loses "
+                              "its leases (default: 10)")
     serve_p.set_defaults(func=_cmd_serve)
 
     worker_p = sub.add_parser(

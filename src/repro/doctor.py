@@ -17,14 +17,14 @@ from repro import obs
 from repro.sweep.store import ResultStore
 
 
-def doctor_report(cache_dir: Optional[str] = None,
-                  store: Optional[ResultStore] = None,
+def doctor_report(store: Optional[ResultStore] = None,
                   service_url: Optional[str] = None) -> Dict[str, object]:
     """The full diagnostics payload: native engine + result store.
 
-    ``store`` reuses an already-open store (the daemon passes its own so
+    ``store`` is the open store to describe (the daemon passes its own so
     the report reflects the live instance, quarantine counters included);
-    otherwise one is opened on ``cache_dir``.  ``service_url`` additionally
+    without one, as for a daemon run with ``--no-cache``, ``"store"`` is
+    ``None`` and nothing is opened.  ``service_url`` additionally
     probes a running sweep daemon's ``/v1/stats`` and folds its queue /
     fabric health into a ``"service"`` section — the daemon itself must
     *not* pass this (it would be an HTTP call back into its own event
@@ -32,12 +32,10 @@ def doctor_report(cache_dir: Optional[str] = None,
     """
     from repro.snitch import native
 
-    if store is None:
-        store = ResultStore(cache_dir)
     info = native.build_info()
     payload: Dict[str, object] = {
         "native": info,
-        "store": store.stats(),
+        "store": store.stats() if store is not None else None,
         "ok": bool(info["available"]),
         "telemetry": {"enabled": obs.enabled(),
                       "metrics": obs.snapshot()},

@@ -90,56 +90,69 @@ def _params_key(params: TimingParams) -> tuple:
     return tuple(getattr(params, f.name) for f in fields(params))
 
 
-def tile_traffic_bytes(kernel: StencilKernel, tile_shape: Tuple[int, ...]) -> int:
-    """Main-memory traffic per tile: full input tiles in, interior points out."""
-    tile_points = int(np.prod(tile_shape))
-    interior = kernel.interior_points(tile_shape)
-    return len(kernel.inputs) * tile_points * 8 + interior * 8
-
-
-#: Memoized DMA utilization per (kernel fingerprint, tile shape, timing
-#: params).  The measurement is pure — it only derives transfer efficiencies
+#: Memoized transfer model per (kernel fingerprint, tile shape, timing
+#: params).  The model is pure — it only derives transfer efficiencies
 #: from shapes and the timing model — but was recomputed on every
 #: ``run_kernel`` call.
-_DMA_UTIL_CACHE: Dict[tuple, float] = {}
+_TRANSFER_CACHE: Dict[tuple, Tuple[int, float, int, float]] = {}
 
 
-def measure_dma_utilization(kernel: StencilKernel, tile_shape: Tuple[int, ...],
-                            params: Optional[TimingParams] = None) -> float:
-    """Mean DMA bandwidth utilization for this kernel's double-buffer transfers.
+def tile_transfer_model(kernel: StencilKernel, tile_shape: Tuple[int, ...],
+                        params: Optional[TimingParams] = None
+                        ) -> Tuple[int, float, int, float]:
+    """Per-tile DMA demand: (in bytes, in efficiency, out bytes, out
+    efficiency).
 
-    The tiles are moved with 2D/3D strided transfers whose contiguous rows are
-    one tile row long; short rows (3D tiles) achieve lower utilization, which
-    feeds the memory-time side of the scaleout model.  Input tiles move in
-    full (halo included); the write-back moves only the interior rows, each
-    one interior-row long.
+    The one model of a tile's main-memory traffic.  The tiles are moved
+    with 2D/3D strided transfers whose contiguous rows are one tile row
+    long; short rows (3D tiles) achieve lower utilization.  Input tiles
+    move in full (halo included), one transfer per input array; the
+    write-back moves only the interior rows, each one interior-row long.
+    :func:`tile_traffic_bytes` and :func:`measure_dma_utilization` fold it
+    for the analytical scale-out model; the direct one
+    (:mod:`repro.scaleout.sim`) services each direction on its own.
     """
     params = params or TimingParams()
     tile_shape = tuple(tile_shape)
     key = (kernel_fingerprint(kernel), tile_shape, _params_key(params))
-    cached = _DMA_UTIL_CACHE.get(key)
+    cached = _TRANSFER_CACHE.get(key)
     if cached is not None:
         return cached
     engine = DmaEngine([], params)
-    row_bytes = tile_shape[-1] * 8
-    rows = int(np.prod(tile_shape[:-1]))
-    transfer = DmaTransfer(src=0, dst=0, inner_bytes=row_bytes, outer_reps=rows)
-    utils = []
-    for _array in kernel.inputs:
-        utils.append(engine.transfer_utilization(transfer))
+    in_eff = engine.transfer_utilization(DmaTransfer(
+        src=0, dst=0, inner_bytes=tile_shape[-1] * 8,
+        outer_reps=int(np.prod(tile_shape[:-1]))))
     halo = 2 * kernel.radius
-    interior_row_bytes = max(tile_shape[-1] - halo, 1) * 8
     interior_rows = 1
     for dim in tile_shape[:-1]:
         interior_rows *= max(dim - halo, 1)
-    out_transfer = DmaTransfer(src=0, dst=0, inner_bytes=interior_row_bytes,
-                               outer_reps=interior_rows)
-    utils.append(engine.transfer_utilization(out_transfer))
-    utilization = float(np.mean(utils))
-    if len(_DMA_UTIL_CACHE) >= _CODEGEN_CACHE_LIMIT:
-        _DMA_UTIL_CACHE.pop(next(iter(_DMA_UTIL_CACHE)))
-    _DMA_UTIL_CACHE[key] = utilization
-    return utilization
+    out_eff = engine.transfer_utilization(DmaTransfer(
+        src=0, dst=0, inner_bytes=max(tile_shape[-1] - halo, 1) * 8,
+        outer_reps=interior_rows))
+    model = (len(kernel.inputs) * int(np.prod(tile_shape)) * 8, in_eff,
+             kernel.interior_points(tile_shape) * 8, out_eff)
+    if len(_TRANSFER_CACHE) >= _CODEGEN_CACHE_LIMIT:
+        _TRANSFER_CACHE.pop(next(iter(_TRANSFER_CACHE)))
+    _TRANSFER_CACHE[key] = model
+    return model
+
+
+def tile_traffic_bytes(kernel: StencilKernel, tile_shape: Tuple[int, ...]) -> int:
+    """Main-memory traffic per tile: full input tiles in, interior points out."""
+    in_bytes, _in_eff, out_bytes, _out_eff = tile_transfer_model(kernel,
+                                                                 tile_shape)
+    return in_bytes + out_bytes
+
+
+def measure_dma_utilization(kernel: StencilKernel, tile_shape: Tuple[int, ...],
+                            params: Optional[TimingParams] = None) -> float:
+    """Mean DMA bandwidth utilization for this kernel's double-buffer
+    transfers: one per input array plus the write-back, each at its
+    efficiency in :func:`tile_transfer_model`.  It feeds the memory-time
+    side of the scale-out model."""
+    _in_bytes, in_eff, _out_bytes, out_eff = tile_transfer_model(
+        kernel, tile_shape, params)
+    return float(np.mean([in_eff] * len(kernel.inputs) + [out_eff]))
 
 
 #: Memoized (layout, generated programs) per compilation request, so repeated

@@ -53,16 +53,14 @@ from repro.core.kernels import get_kernel
 from repro.core.stencil import StencilKernel
 from repro.core.variants import paper_variants
 from repro.machine import MachineSpec, resolve_machine
-from repro.runner import KernelRunResult
+from repro.runner import KernelRunResult, tile_transfer_model
 from repro.scaleout.manticore import (
     ManticoreConfig,
     _tiles_in_grid,
     estimate_scaleout_pair,
     scaleout_grid_shape,
 )
-from repro.snitch.dma import DmaEngine, DmaTransfer
 from repro.snitch.hbm import HbmRequest, SharedHbm
-from repro.snitch.params import TimingParams
 from repro.sweep.engine import ProgressFn, run_sweep
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore
@@ -110,41 +108,6 @@ class TileWorkload:
     in_efficiency: float
     out_bytes: int
     out_efficiency: float
-
-
-def tile_transfer_model(kernel: StencilKernel, tile_shape: Tuple[int, ...],
-                        params: Optional[TimingParams] = None
-                        ) -> Tuple[int, float, int, float]:
-    """Per-tile DMA demand: (in bytes, in efficiency, out bytes, out
-    efficiency).
-
-    The same transfer shapes as :func:`repro.runner.measure_dma_utilization`
-    — full input tiles in (one 2D/3D strided transfer per input array), the
-    interior write-back out — but kept *separate* per direction, because the
-    shared-HBM model services each transfer individually instead of folding
-    everything into one mean utilization.
-    """
-    params = params or TimingParams()
-    engine = DmaEngine([], params)
-    tile_shape = tuple(tile_shape)
-    tile_points = int(np.prod(tile_shape))
-    row_bytes = tile_shape[-1] * 8
-    rows = int(np.prod(tile_shape[:-1]))
-    in_transfer = DmaTransfer(src=0, dst=0, inner_bytes=row_bytes,
-                              outer_reps=rows)
-    in_eff = engine.transfer_utilization(in_transfer)
-    in_bytes = len(kernel.inputs) * tile_points * 8
-
-    halo = 2 * kernel.radius
-    interior_row_bytes = max(tile_shape[-1] - halo, 1) * 8
-    interior_rows = 1
-    for dim in tile_shape[:-1]:
-        interior_rows *= max(dim - halo, 1)
-    out_transfer = DmaTransfer(src=0, dst=0, inner_bytes=interior_row_bytes,
-                               outer_reps=interior_rows)
-    out_eff = engine.transfer_utilization(out_transfer)
-    out_bytes = kernel.interior_points(tile_shape) * 8
-    return in_bytes, in_eff, out_bytes, out_eff
 
 
 # ---------------------------------------------------------------------------

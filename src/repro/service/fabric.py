@@ -82,9 +82,6 @@ _OBS_LEASES_IN_FLIGHT = obs.gauge("repro_fabric_leases_in_flight",
 #: in play quickly.
 DEFAULT_LEASE_TTL = 10.0
 
-#: Environment override for the lease TTL (``repro serve --fabric``).
-TTL_ENV_VAR = "REPRO_FABRIC_TTL"
-
 
 class FabricError(RuntimeError):
     """Misuse of the fabric coordinator (bad payloads, wrong queue mode)."""

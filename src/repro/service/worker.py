@@ -7,9 +7,10 @@ leases it is currently heartbeating:
 * **Pull loop** — the worker runs its jobs on a
   :class:`~repro.sweep.supervisor.SupervisedPool` of ``capacity``
   processes, the execution core parallel sweeps and ``repro serve`` use
-  too.  It holds two grants per pool worker, the job it runs and one
-  waiting in its pipe, so a pool worker that finishes a job starts the
-  next one at once instead of waiting out a coordinator round trip.
+  too.  It holds two grants per pool worker: one job runs on each pool
+  worker and the others wait in the pool's shared queue, so whichever pool
+  worker finishes first starts the next one at once instead of waiting out
+  a coordinator round trip.
   ``POST /v1/fabric/lease`` tops the worker up to that bound, and the main
   loop wakes as soon as any job finishes.  Grants carry the wire job spec,
   a lease id and the TTL.  The pool supervises each job: bounded retry
@@ -46,10 +47,11 @@ leases it is currently heartbeating:
   nothing; ``net_drop:n=K`` makes the next K outbound coordinator requests
   fail as if the network dropped them.
 
-A waiting grant sits behind the job running on its pool worker.
-``REPRO_SWEEP_TIMEOUT`` bounds that wait: an overrun job's pool worker is
-replaced, and the grant behind it moves on uncharged.  Without a timeout a
-hung job holds one grant back until it ends.  If the worker dies first,
+A waiting grant is pinned to no pool worker: while another pool worker is
+free, a hung job holds up nothing but its own pool worker.  With a single
+pool worker (``--jobs 1``) the grant waits until the hung job ends, which
+``REPRO_SWEEP_TIMEOUT`` bounds: the overrun job's pool worker is replaced
+and the waiting grant runs on the replacement.  If the worker dies first,
 both leases requeue uncharged.
 
 Exit behaviour: ``run(exit_on_idle=N)`` returns after N consecutive empty
@@ -78,8 +80,8 @@ from repro.service.spec import SpecError, job_from_wire
 from repro.sweep import faults
 from repro.sweep.job import SweepJob
 from repro.sweep.store import ResultStore
-from repro.sweep.supervisor import (_JOBS_PER_WORKER, RetryPolicy,
-                                    SingleJobOutcome, SupervisedPool)
+from repro.sweep.supervisor import (RetryPolicy, SingleJobOutcome,
+                                    SupervisedPool)
 
 #: Worker-process metrics (scraped via ``repro doctor`` snapshots and the
 #: counters printed at exit; a worker has no HTTP listener of its own).
@@ -93,6 +95,10 @@ _OBS_STALE_UPLOADS = obs.counter("repro_worker_stale_uploads_total",
                                  "Uploads that landed stale")
 _OBS_NET_DROPS = obs.counter("repro_worker_net_drops_total",
                              "Outbound requests lost to injected partitions")
+
+#: Grants held per pool worker: the job it runs and one waiting in the
+#: pool's queue, ready for the first pool worker that frees up.
+_GRANTS_PER_WORKER = 2
 
 #: A granted job in the pool: its lease, the job and its trace context.
 _Held = Tuple[str, SweepJob, Optional[obs.TraceContext]]
@@ -180,7 +186,7 @@ class FabricWorker:
                 # A stalled node leases nothing until its stalled lease
                 # is uploaded; otherwise top up to two grants per worker.
                 want = (0 if stalled
-                        else _JOBS_PER_WORKER * self.capacity - len(held))
+                        else _GRANTS_PER_WORKER * self.capacity - len(held))
                 if want > 0:
                     try:
                         grants = self._lease(want)

@@ -168,9 +168,9 @@ class SnitchCluster:
         lru_needed = (len(lines) + sum((core._plen + line_insts - 1) // line_insts
                                        for core in cores)) > line_cap
         # One record per core with every hot attribute pre-resolved; the loop
-        # below is the inlined equivalent of SnitchCore.tick (FPU issue,
-        # integer issue, SSR movers, in that order).  The per-rotation record
-        # orders are prebuilt so the cycle loop needs no index arithmetic.
+        # below steps each core's FPU issue, integer issue and SSR movers,
+        # in that order.  The per-rotation record orders are prebuilt so the
+        # cycle loop needs no index arithmetic.
         records = [(core, core.fpu, core.fpu.stats, core.ssr, core.ssr.movers,
                     core._handlers, core.stalls) for core in cores]
         rotations = [tuple(records[r:] + records[:r]) for r in range(num_cores)]
@@ -216,7 +216,7 @@ class SnitchCluster:
                 core, fpu, fpu_stats, ssr, movers, handlers, stalls = record
                 if core.finished:
                     continue
-                # FPU sequencer issue slot (inlined FpuSequencer.tick).
+                # FPU sequencer issue slot.
                 current = fpu._current
                 if current is None:
                     fpu_queue = fpu._queue

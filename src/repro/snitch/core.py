@@ -13,10 +13,11 @@ Fast path / slow path
 Instead of re-decoding the mnemonic through a long if/elif chain on every
 issue, each program location is compiled **once**, on first execution, into a
 small closure specialized for its instruction (operands pre-extracted,
-register/memory accessors pre-bound).  The per-cycle :meth:`SnitchCore.tick`
-then reduces to the stall/icache bookkeeping plus one closure call, while
-executing exactly the same architectural and timing semantics as the original
-interpreter loop.
+register/memory accessors pre-bound).  The cycle loop of
+:meth:`repro.snitch.cluster.SnitchCluster.run` then reduces each core's
+integer issue slot to the stall/icache bookkeeping plus one closure call,
+while executing exactly the same architectural and timing semantics as the
+original interpreter loop.
 """
 
 from __future__ import annotations
@@ -118,43 +119,6 @@ class SnitchCore:
 
         idx = parse_int_reg(name_or_idx) if isinstance(name_or_idx, str) else name_or_idx
         self.int_regs.write(idx, value)
-
-    # -- per-cycle behaviour ------------------------------------------------------
-
-    def tick(self, cycle: int) -> None:
-        """Advance the core by one cycle (FPU issue, integer issue, SSR movers)."""
-        if self.finished:
-            return
-        fpu = self.fpu
-        if fpu._current is None and not fpu._queue:
-            fpu.stats.idle_empty += 1
-        else:
-            fpu.tick(cycle)
-        self._int_step(cycle)
-        for mover in self.ssr.movers:
-            if mover._active:
-                mover.tick()
-
-    def _int_step(self, cycle: int) -> None:
-        pc = self.pc
-        if pc >= self._plen:
-            fpu = self.fpu
-            if (fpu._current is None and not fpu._queue
-                    and self.ssr.all_writes_drained()):
-                self.finished = True
-                self.finish_cycle = cycle
-            return
-        if cycle < self._stall_until:
-            return
-        if not self.icache.lookup(self.hart_id, pc):
-            penalty = self.params.icache_miss_penalty
-            self.stalls.icache += penalty
-            self._stall_until = cycle + penalty
-            return
-        handler = self._handlers[pc]
-        if handler is None:
-            handler = self._build_handler(pc)
-        handler(cycle)
 
     # -- instruction compilation ---------------------------------------------------
 

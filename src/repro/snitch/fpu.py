@@ -27,10 +27,10 @@ for memory ops) and the functional execution for exactly that instruction,
 with operand registers, latencies and accessors pre-bound.  The closures are
 cached per sequencer; an FREP block carries the closure plan for its whole
 body, so the steady state — where the same few instructions retire thousands
-of times — runs without any per-issue decoding.  The per-cycle
-:meth:`FpuSequencer.tick` is then queue bookkeeping plus one closure call,
-charging exactly the same stall and issue counters as the original
-if/elif-chained interpreter.
+of times — runs without any per-issue decoding.  The FPU issue slot of
+:meth:`repro.snitch.cluster.SnitchCluster.run` is then queue bookkeeping
+plus one closure call, charging exactly the same stall and issue counters
+as the original if/elif-chained interpreter.
 
 One ordering note: the original scanned sources left to right, attributing a
 stall to the RAW scoreboard the moment it found a busy register-file source
@@ -208,39 +208,6 @@ class FpuSequencer:
     def busy(self) -> bool:
         """Whether any offloaded work is still pending."""
         return self._current is not None or bool(self._queue)
-
-    # -- per-cycle issue -------------------------------------------------------
-
-    def tick(self, cycle: int) -> bool:
-        """Try to issue one FP instruction; return ``True`` if one issued."""
-        current = self._current
-        if current is None:
-            queue = self._queue
-            if not queue:
-                self.stats.idle_empty += 1
-                return False
-            current = self._current = queue.popleft()
-            self._block_inst_idx = 0
-            self._block_rep_idx = 0
-        if current.__class__ is FrepBlock:
-            plan = current._plan
-            idx = self._block_inst_idx
-            if not plan[idx](cycle, None):
-                return False
-            idx += 1
-            if idx >= current._plan_len:
-                self._block_inst_idx = 0
-                rep = self._block_rep_idx + 1
-                self._block_rep_idx = rep
-                if rep >= current.reps:
-                    self._current = None
-            else:
-                self._block_inst_idx = idx
-            return True
-        if not current[2](cycle, current[1]):
-            return False
-        self._current = None
-        return True
 
     # -- instruction compilation -----------------------------------------------
 

@@ -124,9 +124,9 @@ class NativeEngineError(RuntimeError):
     Raised for error codes with no Python-engine counterpart: a failed ABI
     handshake, a corrupt decoded program table, an out-of-bounds internal
     access caught by a runtime guard, the cycle-budget watchdog, or an
-    internal invariant violation.  The supervised sweep executor maps this
-    to ``JobFailure(kind="native_fault")`` and retries the job once under
-    the forced Python engine — in-band, without a pool respawn.
+    internal invariant violation.  The supervised sweep executor counts
+    this as a ``native_fault`` and retries the job once under the forced
+    Python engine — in-band, without a pool respawn.
 
     Attributes: ``code`` (numeric), ``name`` (taxonomy key from
     :data:`ERROR_NAMES`), ``hart`` (faulting core, -1 if unattributable),
@@ -319,17 +319,22 @@ def effective_cflags() -> Tuple[str, ...]:
     return _CFLAGS + tuple(shlex.split(extra))
 
 
-_CC_IDENTITY_CACHE: Dict[str, str] = {}
+_CC_VERSION_CACHE: Dict[str, str] = {}
 
 
 def _compiler_version(cc: str) -> str:
-    """Raw ``cc --version`` output (best effort; never raises)."""
-    try:
-        proc = subprocess.run([cc, "--version"], capture_output=True,
-                              timeout=10)
-        return proc.stdout.decode(errors="replace")
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
+    """Raw ``cc --version`` output (best effort; never raises), run once
+    per compiler and process."""
+    version = _CC_VERSION_CACHE.get(cc)
+    if version is None:
+        try:
+            proc = subprocess.run([cc, "--version"], capture_output=True,
+                                  timeout=10)
+            version = proc.stdout.decode(errors="replace")
+        except (OSError, subprocess.SubprocessError):
+            version = "unknown"
+        _CC_VERSION_CACHE[cc] = version
+    return version
 
 
 def _compiler_identity(cc: str) -> str:
@@ -339,12 +344,8 @@ def _compiler_identity(cc: str) -> str:
     ``$CC``) can never silently reuse a shared object produced by a
     different compiler — the classic stale-``.so`` footgun.
     """
-    ident = _CC_IDENTITY_CACHE.get(cc)
-    if ident is None:
-        ident = hashlib.sha256(
-            (cc + "\x00" + _compiler_version(cc)).encode()).hexdigest()[:8]
-        _CC_IDENTITY_CACHE[cc] = ident
-    return ident
+    return hashlib.sha256(
+        (cc + "\x00" + _compiler_version(cc)).encode()).hexdigest()[:8]
 
 
 def _first_error_line(stderr: bytes) -> str:

@@ -763,7 +763,7 @@ static int fp_issue(NatCluster *cl, NatCore *co, const int64_t *I,
     }
 }
 
-/* ---- FPU sequencer step (inlined FpuSequencer.tick) --------------------- */
+/* ---- FPU sequencer step (the FPU slot of SnitchCluster.run) ------------- */
 
 static void fpu_step(NatCluster *cl, NatCore *co, int64_t cycle,
                      uint64_t *busy)

@@ -8,10 +8,10 @@ jobs.  This package turns that observation into infrastructure:
 * :mod:`repro.sweep.engine` — ``run_sweep``: always supervised, serially
   in-process or on worker processes (bit-identical either way), with
   per-job progress streaming;
-* :mod:`repro.sweep.supervisor` — the supervised worker pool: bounded retry
-  with backoff, per-job timeouts, a crash or hang charged to its own job
-  (only that job's worker is replaced), and graceful degradation to the
-  Python engine;
+* :mod:`repro.sweep.supervisor` — the supervised worker pool, one job per
+  worker, and its one recovery ladder: bounded retry with backoff, per-job
+  timeouts, a crash or hang charged to its own job (only that job's worker
+  is replaced), and graceful degradation to the Python engine;
 * :mod:`repro.sweep.faults` — deterministic fault injection
   (``REPRO_FAULT_INJECT``) so every recovery path above is testable;
 * :class:`~repro.sweep.store.ResultStore` — a persistent JSON-per-job cache
@@ -37,8 +37,8 @@ _LAZY = {
     "SweepJob": "repro.sweep.job",
     **dict.fromkeys(("DEFAULT_CACHE_DIR", "ENGINE_VERSION", "ResultStore"),
                     "repro.sweep.store"),
-    **dict.fromkeys(("BACKOFF_ENV_VAR", "RETRIES_ENV_VAR", "TIMEOUT_ENV_VAR",
-                     "JobFailure", "RetryPolicy", "SweepJobError"),
+    **dict.fromkeys(("RETRIES_ENV_VAR", "TIMEOUT_ENV_VAR", "JobFailure",
+                     "RetryPolicy", "SweepJobError"),
                     "repro.sweep.supervisor"),
 }
 

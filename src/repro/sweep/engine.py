@@ -18,18 +18,20 @@ DMA-utilization caches and keeps warming its own.
 Fault tolerance
 ---------------
 
-Every sweep is supervised.  In-band exceptions are retried with exponential
-backoff and a structured native-engine fault degrades to the Python engine,
-on either path.  The pool additionally charges a worker crash or an overrun
-per-job timeout to the one job that caused it: only that job's worker is
-replaced, and the job gets bounded retries and then one degraded
-forced-Python attempt.  ``on_error`` only picks what happens to a job that
-fails for good: ``"raise"`` (default) raises it, ``"collect"`` returns
-partial results plus structured
-:class:`~repro.sweep.supervisor.JobFailure` records (the failed slots in
-``results`` are ``None``).  ``retry``, ``timeout`` and the
-``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` / ``REPRO_SWEEP_BACKOFF``
-environment variables only set the policy.  Because every finished job is
+Every sweep is supervised, on one recovery ladder
+(:meth:`~repro.sweep.supervisor.RetryPolicy.next_step`).  In-band
+exceptions are retried with exponential backoff and a structured
+native-engine fault degrades to the Python engine, on either path.  The
+pool additionally charges a worker crash or an overrun per-job timeout to
+the one job that caused it: only that job's worker is replaced, and the job
+gets bounded retries and then one degraded forced-Python attempt.  Each
+job's outcome is folded straight into the :class:`SweepReport`.
+``on_error`` only picks what happens to a job that fails for good:
+``"raise"`` (default) raises it, ``"collect"`` returns partial results plus
+structured :class:`~repro.sweep.supervisor.JobFailure` records (the failed
+slots in ``results`` are ``None``).  ``retry``, ``timeout`` and the
+``REPRO_SWEEP_TIMEOUT`` / ``REPRO_SWEEP_RETRIES`` environment variables
+only set the policy.  Because every finished job is
 persisted to the store as it completes, a crashed or interrupted sweep
 resumes by simply re-running — only the missing job hashes execute
 (``repro reproduce --resume``).
@@ -54,8 +56,8 @@ from repro.sweep.store import ResultStore
 from repro.sweep.supervisor import (
     JobFailure,
     RetryPolicy,
+    SingleJobOutcome,
     SupervisedPool,
-    SupervisionOutcome,
     SweepJobError,
     execute_supervised,
 )
@@ -129,8 +131,9 @@ class SweepReport:
     type, message, traceback, attempts, engine, elapsed) are in
     ``failures``; ``retried`` / ``degraded`` / ``retries`` /
     ``pool_restarts`` (workers replaced) / ``timeouts`` document what
-    supervision had to do, and ``quarantined`` counts corrupt store entries
-    set aside during the warm-cache pass.
+    supervision had to do (:meth:`record` folds in each executed job's
+    outcome), and ``quarantined`` counts corrupt store entries set aside
+    during the warm-cache pass.
     """
 
     results: List[Optional[KernelRunResult]]
@@ -180,6 +183,25 @@ class SweepReport:
                                          {}).items():
                 totals[name] = totals.get(name, 0.0) + float(seconds)
         return totals
+
+    def record(self, index: int,
+               outcome: SingleJobOutcome) -> Optional[KernelRunResult]:
+        """Fold the outcome of executed job ``index`` in; return its result
+        (``None`` if it failed)."""
+        self.retries += outcome.retries
+        self.native_faults += outcome.native_faults
+        self.pool_restarts += outcome.restarts
+        self.timeouts += outcome.timeouts
+        if outcome.failure is not None:
+            outcome.failure.index = index
+            self.failures.append(outcome.failure)
+            return None
+        label = self.job_labels[index]
+        if outcome.attempts > 1:
+            self.retried[label] = outcome.attempts
+        if outcome.degraded:
+            self.degraded.append(label)
+        return outcome.result
 
     def stats(self) -> Dict[str, object]:
         """Summary dictionary for reports and benchmark records."""
@@ -283,14 +305,29 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
     workers = resolve_workers(workers, len(unique))
     parallel = workers > 1 and len(unique) > 1
     policy = RetryPolicy.resolve(retry, timeout)
+    report = SweepReport(
+        results=results,
+        jobs=total,
+        executed=len(unique),
+        cache_hits=cache_hits,
+        workers=workers,
+        wall_seconds=0.0,
+        parallel=parallel,
+        cpu_count=os.cpu_count() or 1,
+        store_root=str(store.root) if store is not None else None,
+        job_labels=[job.label for job in jobs],
+        on_error=on_error,
+    )
 
-    def finish(index: int, result: KernelRunResult, source: str) -> None:
+    def finish(index: int, outcome: SingleJobOutcome, source: str) -> None:
+        result = report.record(index, outcome)
+        if result is None:
+            return
         results[index] = result
         if store is not None:
             store.save(jobs[index], result)
         report_progress(index, source)
 
-    outcome = SupervisionOutcome()
     if parallel:
         # Results are stored as they arrive, which is what makes resume
         # after an interrupt cheap; close() ends the workers on any exit.
@@ -298,54 +335,30 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
         try:
             futures = {pool.submit(jobs[index]): index for index in unique}
             for future in as_completed(futures):
-                index = futures[future]
-                result = outcome.record(index, jobs[index].label,
-                                        future.result())
-                if result is not None:
-                    finish(index, result, "parallel")
+                finish(futures[future], future.result(), "parallel")
         finally:
             pool.close()
-        if outcome.failures and on_error == "raise":
-            raise SweepJobError(outcome.failures[0])
+        if report.failures and on_error == "raise":
+            raise SweepJobError(report.failures[0])
     else:
         for index in unique:
-            job_outcome = execute_supervised(jobs[index], policy)
-            if job_outcome.failure is not None and on_error == "raise":
-                raise job_outcome.exception
-            result = outcome.record(index, jobs[index].label, job_outcome)
-            if result is not None:
-                finish(index, result, "serial")
+            outcome = execute_supervised(jobs[index], policy)
+            if outcome.failure is not None and on_error == "raise":
+                raise outcome.exception
+            finish(index, outcome, "serial")
 
-    failed_indices = {failure.index for failure in outcome.failures}
-    for failure in outcome.failures:
+    failed_indices = {failure.index for failure in report.failures}
+    for failure in report.failures:
         report_progress(failure.index, "failed")
     for index, source_index in duplicates.items():
         results[index] = results[source_index]
         report_progress(index, "failed" if source_index in failed_indices
                         else "cache")
 
-    return SweepReport(
-        results=results,
-        jobs=total,
-        executed=len(unique),
-        cache_hits=cache_hits,
-        workers=workers,
-        wall_seconds=time.perf_counter() - start,
-        parallel=parallel,
-        cpu_count=os.cpu_count() or 1,
-        store_root=str(store.root) if store is not None else None,
-        job_labels=[job.label for job in jobs],
-        on_error=on_error,
-        failures=outcome.failures,
-        retried=outcome.retried,
-        degraded=outcome.degraded,
-        retries=outcome.retries,
-        pool_restarts=outcome.pool_restarts,
-        timeouts=outcome.timeouts,
-        native_faults=outcome.native_faults,
-        quarantined=(store.quarantined - quarantined_before
-                     if store is not None else 0),
-    )
+    report.wall_seconds = time.perf_counter() - start
+    if store is not None:
+        report.quarantined = store.quarantined - quarantined_before
+    return report
 
 
 def run_jobs(jobs: Sequence[SweepJob], workers: Optional[int] = None,

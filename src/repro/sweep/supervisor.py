@@ -7,18 +7,18 @@ dispatch (``repro serve``) and the fabric worker (``repro worker``) all run
 their jobs on it.  One dispatcher thread forks every worker, initial and
 replacement, and lives until :meth:`SupervisedPool.close`.
 
-Each worker owns one duplex pipe and holds at most two jobs: the head of its
-list is the job it runs, and the job behind it waits in the pipe so the
-worker never idles while the parent handles the previous outcome.  A worker
-only ever runs its head job, so every failure a worker cannot report itself
-is charged exactly:
+Each worker owns one duplex pipe and holds exactly one job, the one it
+runs.  Submitted jobs wait in the pool's shared queue, so whichever worker
+frees first takes the next one, and a freed worker gets its next job before
+the finished job's future resolves.  Because a worker only ever holds the
+job it runs, every failure a worker cannot report itself is charged
+exactly:
 
 * **Crash** — EOF on the pipe (a native segfault, the OOM killer) is charged
-  to the head job alone.  Only that worker is joined and replaced; the job
-  waiting behind it never started and is requeued uncharged.
+  to the worker's job alone.  Only that worker is joined and replaced.
 * **Timeout** — ``RetryPolicy.timeout_seconds`` bounds one job's in-worker
-  attempts together, counted from when its worker could first start it.  An
-  overdue worker is killed, joined and replaced the same way.
+  attempts together, counted from when its worker got it.  An overdue
+  worker is killed, joined and replaced the same way.
 
 Workers never outlive their parent: each one closes the parent's pipe ends
 it inherited at fork, so an idle worker reads EOF when the parent dies, and
@@ -26,15 +26,16 @@ on Linux asks the kernel to SIGKILL it when the dispatcher thread ends,
 which also covers a worker stuck inside a job.  ``close()`` ends the
 workers at once, also one in the middle of a job.
 
-Inside a worker every job runs through :func:`execute_supervised`, the
-single-job ladder the serial sweep path uses too: bounded retry with
-exponential backoff for in-band exceptions, and immediate degradation to the
-forced Python engine on a structured native-engine fault.  The dispatcher
-keeps only the ladder for crashes and timeouts: retry up to
-``max_attempts``, then one attempt under the forced Python engine
-(:func:`repro.snitch.native.forced_python`, on the theory that the native C
-engine is the component most likely to crash or wedge), then a
-:class:`JobFailure`.
+One recovery ladder, :meth:`RetryPolicy.next_step`, decides what follows
+every failure, both inside a worker (:func:`execute_supervised`, which the
+serial sweep path runs too) and in the dispatcher (a crash or a timeout).
+A failed job is retried after an exponential backoff up to
+``max_attempts``.  A structured native-engine fault at once, and a crash or
+timeout past the attempt limit, earn one attempt under the forced Python
+engine (:func:`repro.snitch.native.forced_python`, on the theory that the
+native C engine is the component most likely to fault, crash or wedge).
+An in-band exception past the limit and any failure under the forced
+Python engine are final.
 
 Failures that survive all of the above become structured :class:`JobFailure`
 records carried alongside the partial results, so a sweep of N jobs with one
@@ -82,12 +83,6 @@ TIMEOUT_ENV_VAR = "REPRO_SWEEP_TIMEOUT"
 #: Maximum attempts per job (int >= 1), e.g. ``REPRO_SWEEP_RETRIES=3``.
 RETRIES_ENV_VAR = "REPRO_SWEEP_RETRIES"
 
-#: First backoff pause in seconds (float); doubles per subsequent attempt.
-BACKOFF_ENV_VAR = "REPRO_SWEEP_BACKOFF"
-
-#: Jobs a pool worker holds at once: the one it runs and one waiting.
-_JOBS_PER_WORKER = 2
-
 #: ``prctl`` option that sets the signal a process gets when its parent
 #: thread dies (``<linux/prctl.h>``).
 _PR_SET_PDEATHSIG = 1
@@ -130,21 +125,18 @@ def _env_int(name: str) -> Optional[int]:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Supervision knobs: retries, backoff, timeout, degradation.
+    """Supervision knobs: attempts, backoff, timeout.
 
-    ``timeout_seconds`` is *per job*: it bounds the job's in-worker attempts
-    together, counted from when its pool worker could first start it.
+    ``backoff_seconds`` is the pause before the first retry; it doubles per
+    further attempt.  ``timeout_seconds`` is *per job*: it bounds the job's
+    in-worker attempts together, counted from when its pool worker got it.
     ``None`` disables timeouts; the serial sweep path, which runs jobs
-    in-process, cannot enforce them.  ``degrade_to_python`` controls
-    whether a crashed, timed-out or native-faulting job earns one final
-    attempt under the forced Python reference engine.
+    in-process, cannot enforce them.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
     timeout_seconds: Optional[float] = None
-    degrade_to_python: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -167,9 +159,6 @@ class RetryPolicy:
             env_retries = _env_int(RETRIES_ENV_VAR)
             if env_retries is not None:
                 kwargs["max_attempts"] = env_retries
-            env_backoff = _env_float(BACKOFF_ENV_VAR)
-            if env_backoff is not None:
-                kwargs["backoff_seconds"] = env_backoff
             env_timeout = _env_float(TIMEOUT_ENV_VAR)
             if env_timeout is not None:
                 kwargs["timeout_seconds"] = env_timeout
@@ -180,8 +169,27 @@ class RetryPolicy:
 
     def backoff_for(self, attempt: int) -> float:
         """Pause before retrying after the ``attempt``-th failure."""
-        return self.backoff_seconds * self.backoff_factor ** max(
-            0, attempt - 1)
+        return self.backoff_seconds * 2.0 ** max(0, attempt - 1)
+
+    def next_step(self, kind: str, attempt: int,
+                  force_python: bool) -> Optional[str]:
+        """The recovery ladder: what follows the ``attempt``-th failure of
+        a job, of ``kind`` ``"exception"``, ``"native_fault"``, ``"crash"``
+        or ``"timeout"``.
+
+        ``"retry"`` runs the job again as before, ``"degraded"`` runs it
+        under the forced Python engine, and ``None`` makes the failure
+        final.  A deterministic native guard fault would fire again, so it
+        degrades at once; a crash or a timeout degrades once the attempts
+        run out.
+        """
+        if force_python:
+            return None
+        if kind == "native_fault":
+            return "degraded"
+        if attempt < self.max_attempts:
+            return "retry"
+        return "degraded" if kind in ("crash", "timeout") else None
 
 
 @dataclass
@@ -190,13 +198,12 @@ class JobFailure:
 
     ``kind`` distinguishes the failure class: ``"exception"`` (an in-band
     Python exception from ``execute_job``), ``"timeout"`` (the job overran
-    its wall-clock budget), ``"crash"`` (its worker process died) or
-    ``"native_fault"`` (a structured
-    :class:`repro.snitch.native.NativeEngineError` from an in-engine guard
-    — handled in-band with a degraded retry, never a worker replacement).
-    ``engine`` is the engine mode of the *final* attempt: ``"python"`` when
-    it ran degraded/forced, ``"auto"`` when the normal native-first
-    selection applied.
+    its wall-clock budget) or ``"crash"`` (its worker process died).  A
+    structured :class:`repro.snitch.native.NativeEngineError` from an
+    in-engine guard never ends here: it degrades in-band.  ``engine`` is
+    the engine mode of the *final* attempt: ``"python"`` when it ran
+    degraded/forced, ``"auto"`` when the normal native-first selection
+    applied.
     """
 
     label: str
@@ -250,38 +257,12 @@ class SingleJobOutcome:
     timeouts: int = 0
     progress: List[Dict[str, object]] = field(default_factory=list)
 
-
-@dataclass
-class SupervisionOutcome:
-    """What supervision did across one sweep beyond the happy path."""
-
-    failures: List[JobFailure] = field(default_factory=list)
-    retries: int = 0
-    #: Pool workers killed and replaced after a crash or timeout.
-    pool_restarts: int = 0
-    timeouts: int = 0
-    #: Structured in-engine faults (NativeEngineError) routed in-band.
-    native_faults: int = 0
-    degraded: List[str] = field(default_factory=list)
-    #: label -> attempts, for jobs that eventually succeeded after retries.
-    retried: Dict[str, int] = field(default_factory=dict)
-
-    def record(self, index: int, label: str,
-               outcome: SingleJobOutcome) -> Optional[KernelRunResult]:
-        """Fold one job's outcome in; return its result (None if it failed)."""
-        self.retries += outcome.retries
-        self.native_faults += outcome.native_faults
-        self.pool_restarts += outcome.restarts
-        self.timeouts += outcome.timeouts
-        if outcome.failure is not None:
-            outcome.failure.index = index
-            self.failures.append(outcome.failure)
-            return None
-        if outcome.attempts > 1:
-            self.retried[label] = outcome.attempts
-        if outcome.degraded:
-            self.degraded.append(label)
-        return outcome.result
+    def step(self, phase: str, attempt: int, error: str) -> None:
+        """Record one rung of the ladder: a ``"retry"`` or ``"degraded"``
+        re-run after the ``attempt``-th attempt failed with ``error``."""
+        self.retries += 1
+        self.progress.append({"phase": phase, "attempt": attempt,
+                              "error": error})
 
 
 def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
@@ -290,13 +271,11 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
     """Run one job in-process under the full supervision policy.
 
     This is the single-job core of the serial sweep path and of every pool
-    worker: bounded retry with exponential backoff for in-band exceptions,
-    and immediate degradation to the forced Python engine on a structured
-    :class:`~repro.snitch.native.NativeEngineError` (a deterministic guard
-    fault would just fire again natively).  Timeouts and crash recovery
-    need worker processes and live in :class:`SupervisedPool`; an injected
-    segfault degrades to an in-band exception in-process (see
-    :mod:`repro.sweep.faults`).
+    worker: each in-band failure takes its next step on the ladder of
+    :meth:`RetryPolicy.next_step`, after the policy's backoff.  Timeouts
+    and crash recovery need worker processes and live in
+    :class:`SupervisedPool`; an injected segfault degrades to an in-band
+    exception in-process (see :mod:`repro.sweep.faults`).
 
     ``attempt`` and ``force_python`` say where on the ladder to start: the
     pool passes them when it re-runs a job whose worker crashed or timed out.
@@ -305,9 +284,7 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
     from repro.snitch import native
     from repro.sweep.engine import execute_job
 
-    retries = 0
-    native_faults = 0
-    progress: List[Dict[str, object]] = []
+    outcome = SingleJobOutcome()
     while True:
         _OBS_ATTEMPTS.inc()
         start = time.perf_counter()
@@ -324,31 +301,11 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
             if (isinstance(exc, native.NativeEngineError)
                     and not force_python):
                 kind = "native_fault"
+                outcome.native_faults += 1
                 _OBS_NATIVE_FAULTS.inc()
-                if policy.degrade_to_python:
-                    # Deterministic guard fault: retrying natively would
-                    # hit it again — go straight to the Python engine.
-                    native_faults += 1
-                    retries += 1
-                    _OBS_DEGRADATIONS.inc()
-                    _OBS_RETRIES.inc()
-                    progress.append({"phase": "degraded", "attempt": attempt,
-                                     "error": type(exc).__name__})
-                    time.sleep(policy.backoff_for(attempt))
-                    attempt += 1
-                    force_python = True
-                    continue
-            if (kind == "exception" and not force_python
-                    and attempt < policy.max_attempts):
-                retries += 1
-                _OBS_RETRIES.inc()
-                progress.append({"phase": "retry", "attempt": attempt,
-                                 "error": type(exc).__name__})
-                time.sleep(policy.backoff_for(attempt))
-                attempt += 1
-                continue
-            return SingleJobOutcome(
-                failure=JobFailure(
+            step = policy.next_step(kind, attempt, force_python)
+            if step is None:
+                outcome.failure = JobFailure(
                     label=job.label,
                     job_hash=job.content_hash(),
                     kind=kind,
@@ -358,18 +315,22 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
                     attempts=attempt,
                     engine="python" if force_python else "auto",
                     elapsed=time.perf_counter() - start,
-                ),
-                exception=exc,
-                attempts=attempt,
-                retries=retries,
-                native_faults=native_faults,
-                progress=progress,
-            )
+                )
+                outcome.exception = exc
+                outcome.attempts = attempt
+                return outcome
+            _OBS_RETRIES.inc()
+            if step == "degraded":
+                _OBS_DEGRADATIONS.inc()
+            outcome.step(step, attempt, type(exc).__name__)
+            time.sleep(policy.backoff_for(attempt))
+            attempt += 1
+            force_python = step == "degraded"
         else:
-            return SingleJobOutcome(result=result, attempts=attempt,
-                                    degraded=force_python, retries=retries,
-                                    native_faults=native_faults,
-                                    progress=progress)
+            outcome.result = result
+            outcome.attempts = attempt
+            outcome.degraded = force_python
+            return outcome
 
 
 def _die_with_parent(parent: int) -> bool:
@@ -452,8 +413,8 @@ class _Task:
 
 
 class _Worker:
-    """One worker process, the parent's end of its pipe, and the tasks sent
-    down it in order (the head is the one running)."""
+    """One worker process, the parent's end of its pipe and the one task it
+    runs (``None`` while it idles)."""
 
     def __init__(self, context, policy: RetryPolicy,
                  inherited: Sequence) -> None:
@@ -464,19 +425,18 @@ class _Worker:
                   [self.conn, *inherited]), daemon=True)
         self.process.start()
         child_conn.close()  # so EOF on ``conn`` means the worker died
-        self.tasks: Deque[_Task] = deque()
-        #: When the head task could first start running.
+        self.task: Optional[_Task] = None
+        #: When the task was sent: its timeout counts from here.
         self.started = 0.0
 
     def send(self, task: _Task) -> None:
-        if not self.tasks:
-            self.started = time.monotonic()
-        self.tasks.append(task)
+        self.task = task
+        self.started = time.monotonic()
         try:
             self.conn.send((task.job, task.attempt, task.force_python,
                             task.trace))
         except OSError:
-            pass  # the worker died: EOF charges its head task
+            pass  # the worker died: EOF charges the task
 
     def stop(self, kill: bool) -> None:
         """Join the process after asking it to exit, or after killing it."""
@@ -586,46 +546,65 @@ class SupervisedPool:
             while self._take(queue):
                 self._dispatch(queue, workers)
                 wait([self._wake_reader]
-                     + [worker.conn for worker in workers if worker.tasks],
+                     + [worker.conn for worker in workers
+                        if worker.task is not None],
                      self._wake_after(queue, workers))
+                finished = []
                 for slot, worker in enumerate(workers):
-                    if not worker.tasks:
+                    task = worker.task
+                    if task is None:
                         continue
-                    if not self._receive(worker):
-                        kind = "crash"
-                    elif (worker.tasks and timeout is not None
+                    if worker.conn.poll():
+                        try:
+                            outcome, spans = worker.conn.recv()
+                        except (EOFError, OSError):
+                            kind = "crash"
+                        else:
+                            worker.task = None
+                            finished.append((task, outcome, spans))
+                            continue
+                    elif (timeout is not None
                           and time.monotonic() >= worker.started + timeout):
                         kind = "timeout"
                     else:
                         continue
-                    self._fail_head(worker, kind, queue)
+                    outcome = self._charge(worker, kind, queue)
+                    if outcome is not None:
+                        finished.append((task, outcome, []))
                     workers[slot] = self._fork(workers)
+                # Freed workers take their next jobs first: resolving a
+                # future wakes its submitter, which competes for the GIL.
+                self._dispatch(queue, workers)
+                for task, outcome, spans in finished:
+                    for span in spans:
+                        obs.RECORDER.record(span)
+                    _resolve(task, outcome)
         finally:
             with self._lock:
                 self._closed = True
                 queue.extend(self._incoming)
             for worker in workers:
-                worker.stop(kill=bool(worker.tasks))
-                queue.extend(worker.tasks)
+                worker.stop(kill=worker.task is not None)
+                if worker.task is not None:
+                    queue.append(worker.task)
             for task in queue:
                 task.future.cancel()
             self._wake_reader.close()
             self._wake_writer.close()
 
     def _dispatch(self, queue: Deque[_Task], workers: List[_Worker]) -> None:
-        """Top every worker up to two tasks, idle workers first."""
+        """Hand every idle worker the first task whose backoff is over."""
         now = time.monotonic()
-        for depth in range(_JOBS_PER_WORKER):
-            for worker in workers:
-                if len(worker.tasks) != depth:
-                    continue
-                ready = next((i for i, task in enumerate(queue)
-                              if task.not_before <= now), None)
-                if ready is None:
-                    return
-                task = queue[ready]
-                del queue[ready]
-                worker.send(task)
+        for worker in workers:
+            if worker.task is not None:
+                continue
+            ready = next((i for i, task in enumerate(queue)
+                          if task.not_before <= now), None)
+            if ready is None:
+                return
+            task = queue[ready]
+            del queue[ready]
+            worker.send(task)
 
     def _wake_after(self, queue: Deque[_Task],
                     workers: List[_Worker]) -> Optional[float]:
@@ -633,71 +612,50 @@ class SupervisedPool:
         times = []
         if self.policy.timeout_seconds is not None:
             times = [worker.started + self.policy.timeout_seconds
-                     for worker in workers if worker.tasks]
-        if any(len(worker.tasks) < _JOBS_PER_WORKER for worker in workers):
+                     for worker in workers if worker.task is not None]
+        if any(worker.task is None for worker in workers):
             times.extend(task.not_before for task in queue)
         if not times:
             return None
         return max(0.0, min(times) - time.monotonic())
 
-    def _receive(self, worker: _Worker) -> bool:
-        """Take every outcome the worker has sent; False if it died."""
-        while worker.tasks and worker.conn.poll():
-            try:
-                outcome, spans = worker.conn.recv()
-            except (EOFError, OSError):
-                return False
-            task = worker.tasks.popleft()
-            worker.started = time.monotonic()
-            for span in spans:
-                obs.RECORDER.record(span)
-            _resolve(task, outcome)
-        return True
+    def _charge(self, worker: _Worker, kind: str,
+                queue: Deque[_Task]) -> Optional[SingleJobOutcome]:
+        """Kill and join the worker and charge its task with ``kind``
+        (``"crash"`` or ``"timeout"``).
 
-    def _fail_head(self, worker: _Worker, kind: str,
-                   queue: Deque[_Task]) -> None:
-        """Kill and join the worker, charge its head task with ``kind``
-        (``"crash"`` or ``"timeout"``) and requeue the task waiting behind
-        it uncharged — it never started.
-
-        The charged job is retried up to ``max_attempts``, then gets one
-        final attempt under the forced Python engine; a failure of that
-        attempt is terminal.
+        The task goes back on the queue for its next step on the ladder,
+        after the backoff; without one, its final failure is returned.
         """
         elapsed = time.monotonic() - worker.started
         worker.stop(kill=True)
-        head = worker.tasks.popleft()
-        queue.extendleft(reversed(worker.tasks))
-        head.ladder.restarts += 1
+        task = worker.task
+        task.ladder.restarts += 1
         if kind == "crash":
             error_type = "WorkerCrash"
             message = (f"worker process died (exit code "
                        f"{worker.process.exitcode}) while running this job")
         else:
-            head.ladder.timeouts += 1
+            task.ladder.timeouts += 1
             _OBS_TIMEOUTS.inc()
             error_type = "TimeoutError"
             message = (f"job exceeded its {self.policy.timeout_seconds}s "
                        f"wall-clock timeout")
-        policy = self.policy
-        if not head.force_python and (head.attempt < policy.max_attempts
-                                      or policy.degrade_to_python):
-            head.ladder.retries += 1
-            head.force_python = head.attempt >= policy.max_attempts
-            head.ladder.progress.append({
-                "phase": "degraded" if head.force_python else "retry",
-                "attempt": head.attempt, "error": error_type})
-            head.not_before = (time.monotonic()
-                               + policy.backoff_for(head.attempt))
-            head.attempt += 1
-            queue.append(head)
-            return
-        job = head.job
-        _resolve(head, SingleJobOutcome(
+        step = self.policy.next_step(kind, task.attempt, task.force_python)
+        if step is not None:
+            task.ladder.step(step, task.attempt, error_type)
+            task.not_before = (time.monotonic()
+                               + self.policy.backoff_for(task.attempt))
+            task.attempt += 1
+            task.force_python = step == "degraded"
+            queue.append(task)
+            return None
+        job = task.job
+        return SingleJobOutcome(
             failure=JobFailure(
                 label=job.label, job_hash=job.content_hash(), kind=kind,
                 error_type=error_type, message=message, traceback="",
-                attempts=head.attempt,
-                engine="python" if head.force_python else "auto",
+                attempts=task.attempt,
+                engine="python" if task.force_python else "auto",
                 elapsed=elapsed),
-            attempts=head.attempt))
+            attempts=task.attempt)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -178,6 +179,34 @@ class TestReproduceCommand:
                      "--cache-dir", str(tmp_path / "cache"), "-o", "", "-q"]) == 0
         capsys.readouterr()
 
+    def test_cache_flags_leave_the_callers_environment(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # The codegen and engine caches read both settings from the
+        # environment while the command runs, and the caller's values are
+        # back once it returns.
+        from repro.sweep import artifacts
+
+        seen = {}
+        original = artifacts.reproduce
+
+        def reproduce(**kwargs):
+            seen.update((name, os.environ.get(name)) for name in
+                        ("REPRO_CACHE_DIR", "REPRO_CODEGEN_CACHE"))
+            return original(**kwargs)
+
+        monkeypatch.setattr(artifacts, "reproduce", reproduce)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "callers"))
+        monkeypatch.delenv("REPRO_CODEGEN_CACHE", raising=False)
+        assert main(["reproduce", "--subset", "listing1", "--no-cache",
+                     "--cache-dir", str(tmp_path / "cache"), "-o", "",
+                     "-q"]) == 0
+        capsys.readouterr()
+        assert seen == {"REPRO_CACHE_DIR": str(tmp_path / "cache"),
+                        "REPRO_CODEGEN_CACHE": "0"}
+        assert os.environ["REPRO_CACHE_DIR"] == str(tmp_path / "callers")
+        assert "REPRO_CODEGEN_CACHE" not in os.environ
+
     def test_reproduce_rejects_unknown_subset(self):
         with pytest.raises(SystemExit):
             main(["reproduce", "--subset", "fig9"])
@@ -302,6 +331,17 @@ class TestFuzzCommand:
 
 
 class TestServiceCommands:
+    def test_serve_help_names_the_real_defaults(self):
+        from repro.service.fabric import DEFAULT_LEASE_TTL
+        from repro.service.server import DEFAULT_PORT
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        helps = {option: action.help
+                 for action in commands["serve"]._actions
+                 for option in action.option_strings}
+        assert f"(default: {DEFAULT_PORT})" in helps["--port"]
+        assert f"(default: {DEFAULT_LEASE_TTL:g})" in helps["--lease-ttl"]
+
     def test_submit_falls_back_to_in_process(self, capsys, monkeypatch,
                                              tmp_path):
         monkeypatch.delenv("REPRO_SERVICE_URL", raising=False)

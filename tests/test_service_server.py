@@ -233,6 +233,18 @@ class TestStats:
             assert stats.keys() >= doctor_report(store=store).keys()
             assert stats["native"].keys() >= {"available"}
 
+    def test_stats_without_a_store_report_none(self, tmp_path, monkeypatch):
+        # `repro serve --no-cache`: the default store root is never opened.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        opened = []
+        monkeypatch.setattr(ResultStore, "_sweep_stale_tmp_files",
+                            lambda store: opened.append(store.root))
+        with running_server(store=None) as (service, client):
+            stats = client.stats()
+        assert stats["store"] is None
+        assert stats["native"].keys() >= {"available"}
+        assert opened == []
+
     def test_stats_lists_the_store_once(self, tmp_path, monkeypatch):
         """``GET /v1/stats`` runs on the event loop, and both the queue's
         and the doctor's part describe the store: one directory listing

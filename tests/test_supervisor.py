@@ -23,7 +23,6 @@ import pytest
 from repro.sweep import ResultStore, SweepJob, run_sweep
 from repro.sweep.faults import FaultSpec, injected
 from repro.sweep.supervisor import (
-    BACKOFF_ENV_VAR,
     RETRIES_ENV_VAR,
     TIMEOUT_ENV_VAR,
     JobFailure,
@@ -56,11 +55,9 @@ class TestRetryPolicy:
 
     def test_env_resolution(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV_VAR, "5")
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0.01")
         monkeypatch.setenv(TIMEOUT_ENV_VAR, "2.5")
         policy = RetryPolicy.resolve()
         assert policy.max_attempts == 5
-        assert policy.backoff_seconds == 0.01
         assert policy.timeout_seconds == 2.5
 
     def test_timeout_shortcut_overrides(self):
@@ -68,7 +65,7 @@ class TestRetryPolicy:
         assert policy.timeout_seconds == 1.5
 
     def test_backoff_growth(self):
-        policy = RetryPolicy(backoff_seconds=0.1, backoff_factor=2.0)
+        policy = RetryPolicy(backoff_seconds=0.1)
         assert policy.backoff_for(1) == pytest.approx(0.1)
         assert policy.backoff_for(3) == pytest.approx(0.4)
 
@@ -195,11 +192,12 @@ class TestParallelSupervision:
                                 hang_seconds=30.0)):
             report = run_sweep(jobs, workers=2, on_error="collect",
                                retry=RetryPolicy(max_attempts=1,
-                                                 timeout_seconds=1.0,
-                                                 degrade_to_python=False))
+                                                 timeout_seconds=1.0))
         assert [f.label for f in report.failures] == ["j2d9pt/saris"]
         assert report.failures[0].kind == "timeout"
-        assert report.timeouts >= 1
+        # The degraded attempt hangs too.
+        assert report.failures[0].engine == "python"
+        assert report.timeouts == 2
         assert sum(r is not None for r in report.results) == len(jobs) - 1
 
     def test_supervised_parallel_is_bit_identical_to_serial(self):
@@ -211,7 +209,6 @@ class TestParallelSupervision:
 
     def test_env_knobs_activate_supervision(self, monkeypatch):
         monkeypatch.setenv(RETRIES_ENV_VAR, "2")
-        monkeypatch.setenv(BACKOFF_ENV_VAR, "0.001")
         with injected(FaultSpec(mode="flaky", kernel="jacobi_2d", n=1)):
             report = run_sweep([small_job()], workers=1)
         assert report.ok
@@ -268,12 +265,15 @@ class TestExactAttribution:
                                 variant="saris", hang_seconds=30.0)):
             report = run_sweep(jobs, workers=2, on_error="collect",
                                retry=RetryPolicy(max_attempts=1,
-                                                 timeout_seconds=1.0,
-                                                 degrade_to_python=False))
-        assert [(f.label, f.kind) for f in report.failures] \
-            == [("j2d9pt/saris", "timeout")]
-        assert report.timeouts == report.pool_restarts == 1
-        assert executions() == {job.label: 1 for job in jobs}
+                                                 timeout_seconds=1.0))
+        assert [(f.label, f.kind, f.engine) for f in report.failures] \
+            == [("j2d9pt/saris", "timeout", "python")]
+        # One native attempt and the degraded one time out.
+        assert report.timeouts == report.pool_restarts == 2
+        counts = executions()
+        assert counts.pop("j2d9pt/saris") == 2
+        assert counts == {job.label: 1 for job in jobs
+                          if job.label != "j2d9pt/saris"}
 
 
 class TestStats:
@@ -394,6 +394,33 @@ class TestStreamingPool:
             assert f"{outcome.result.kernel}/{outcome.result.variant}" \
                 == label
 
+    def test_no_job_waits_behind_a_hung_one(self):
+        # Two workers, four jobs, the first hanging 3 s per attempt: the
+        # free worker runs the other three, none of them held behind the
+        # hang on the hung job's worker.
+        jobs = [SweepJob.make(kernel, "base", tile_shape=SMALL_TILES[kernel])
+                for kernel in ("jacobi_2d", "j2d5pt", "box2d1r", "j2d9pt")]
+        finished = {}
+        with injected(FaultSpec(mode="hang", kernel="jacobi_2d",
+                                variant="base", hang_seconds=3.0)):
+            pool = SupervisedPool(2, RetryPolicy(max_attempts=1))
+            try:
+                futures = [pool.submit(job) for job in jobs]
+                for job, future in zip(jobs, futures):
+                    future.add_done_callback(
+                        lambda _future, label=job.label:
+                        finished.setdefault(label, time.monotonic()))
+                outcomes = [future.result(timeout=60) for future in futures]
+            finally:
+                pool.close()
+        assert outcomes[0].failure is not None
+        assert outcomes[0].attempts == 1
+        assert all(outcome.failure is None for outcome in outcomes[1:])
+        hang_ended = finished.pop("jacobi_2d/base")
+        assert all(at < hang_ended for at in finished.values()), \
+            {label: round(hang_ended - at, 2)
+             for label, at in finished.items()}
+
     def test_close_ends_a_running_job_and_cancels_the_rest(self):
         import multiprocessing
 
@@ -403,7 +430,7 @@ class TestStreamingPool:
             pool = SupervisedPool(1, RetryPolicy())
             futures = [pool.submit(small_job(kernel))
                        for kernel in ("jacobi_2d", "j2d5pt", "box2d1r")]
-            time.sleep(0.5)  # the hang is running, one job waits behind it
+            time.sleep(0.5)  # the hang is running, two jobs wait
             start = time.monotonic()
             pool.close()
         assert time.monotonic() - start < 5.0
