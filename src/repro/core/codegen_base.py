@@ -16,18 +16,23 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.isa.registers import fp_reg_name
 from repro.core.codegen_common import (
     AsmBuilder,
     CodegenError,
     GeneratedProgram,
     IntRegAllocator,
-    assemble_generated,
+    ProgramTemplate,
+    Same,
+    Slot,
+    assemble_template,
     check_imm12,
     grid_imm_offset,
     loop_strides,
     plane_key,
     planned,
+    position_values,
     start_pointer_address,
 )
 from repro.core.layout import TileLayout
@@ -39,7 +44,7 @@ from repro.core.lowering import (
     VReg,
     lower_block,
 )
-from repro.core.parallel import CoreGeometry
+from repro.core.parallel import CoreGeometry, CoreShape
 from repro.core.regalloc import linear_scan
 from repro.core.schedule import ScheduledBlock, schedule_block
 from repro.core.stencil import StencilKernel
@@ -152,8 +157,23 @@ def generate_base_program(kernel: StencilKernel, layout: TileLayout,
     point count) and the coefficient residency policy are chosen by estimated
     cycles per point among the configurations that pass register allocation —
     reproducing the register-pressure limits the paper describes for
-    coefficient-heavy codes.
+    coefficient-heavy codes.  Cores of one shape share a program template;
+    this core fills its start pointers and row bound.
     """
+    template, keys = planned(_shape_template, kernel, Same(layout),
+                             geometry.shape, max_unroll, reassoc_width)
+    values = position_values(kernel, layout, geometry)
+    for array, dz in keys:
+        values[f"ptr_{array}_{dz}"] = start_pointer_address(layout, geometry,
+                                                            array, dz)
+    return template.instantiate(values)
+
+
+def _shape_template(kernel: StencilKernel, layout: Same, shape: CoreShape,
+                    max_unroll: int, reassoc_width: int
+                    ) -> Tuple[ProgramTemplate, List[Tuple[str, int]]]:
+    """Pick one core shape's configuration and emit its program template."""
+    layout = layout.value
     # Pointer registers needed: one per (array, z-plane) pair plus the output.
     probe = planned(lower_block, kernel, 1, reassoc_width)
     probe_keys = set()
@@ -163,7 +183,7 @@ def generate_base_program(kernel: StencilKernel, layout: TileLayout,
     pointer_count = len(probe_keys | {(kernel.base_array, 0)}) + 1
 
     best: Optional[_BaseConfig] = None
-    for unroll in geometry.block_candidates(max_unroll):
+    for unroll in shape.block_candidates(max_unroll):
         for resident in (True, False):
             config = planned(_try_config, kernel, unroll, resident,
                              reassoc_width, pointer_count)
@@ -175,36 +195,35 @@ def generate_base_program(kernel: StencilKernel, layout: TileLayout,
         raise CodegenError(
             f"{kernel.name}: no baseline configuration passes register allocation"
         )
-    return _emit(kernel, layout, geometry, best)
+    keys = _pointer_keys(kernel, layout, best.scheduled)
+    with obs.phase("codegen.emit"):
+        template = _emit(kernel, layout, shape, best, keys)
+    return template, keys
 
 
-def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
-          cfg: _BaseConfig) -> GeneratedProgram:
+def _emit(kernel: StencilKernel, layout: TileLayout, shape: CoreShape,
+          cfg: _BaseConfig, keys: List[Tuple[str, int]]) -> ProgramTemplate:
     builder = AsmBuilder()
     regs = IntRegAllocator()
-    keys = _pointer_keys(kernel, layout, cfg.scheduled)
-    row_step, plane_step = loop_strides(layout, geometry.y_interleave)
-    x_advance = cfg.unroll * geometry.x_interleave * 8
-    x_span = geometry.x_count * geometry.x_interleave * 8
+    row_step, plane_step = loop_strides(layout, shape.y_interleave)
+    x_advance = cfg.unroll * shape.x_interleave * 8
+    x_span = shape.x_count * shape.x_interleave * 8
     row_adjust = row_step - x_span
-    plane_adjust = plane_step - geometry.y_count * row_step
+    plane_adjust = plane_step - shape.y_count * row_step
 
-    builder.comment(f"baseline {kernel.name} core {geometry.core_id} "
+    builder.comment(f"baseline {kernel.name} core {Slot('core')} "
                     f"(unroll={cfg.unroll}, resident={cfg.resident})")
     pointer_regs: Dict[Tuple[str, int], str] = {}
     for array, dz in keys:
         reg = regs.get(f"ptr_{array}_{dz}")
         pointer_regs[(array, dz)] = reg
-        builder.li(reg, start_pointer_address(layout, geometry, array, dz),
+        builder.li(reg, Slot(f"ptr_{array}_{dz}"),
                    comment=f"{array} plane {dz:+d}")
     out_ptr = regs.get("out_ptr")
-    builder.li(out_ptr, start_pointer_address(layout, geometry, kernel.output),
-               comment="output")
+    builder.li(out_ptr, Slot("out_ptr"), comment="output")
     base_ptr = pointer_regs[(kernel.base_array, 0)]
     x_bound = regs.get("x_bound")
-    builder.li(x_bound,
-               start_pointer_address(layout, geometry, kernel.base_array) + x_span,
-               comment="row bound")
+    builder.li(x_bound, Slot("x_bound"), comment="row bound")
 
     needs_coeff_ptr = bool(cfg.resident_regs) or any(
         op.is_load and isinstance(op.srcs[0], CoeffOperand)
@@ -223,12 +242,12 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
     y_ctr = regs.get("y_ctr")
     z_ctr = regs.get("z_ctr") if kernel.dims == 3 else None
     if z_ctr:
-        builder.li(z_ctr, geometry.z_count)
+        builder.li(z_ctr, shape.z_count)
         builder.label("zloop")
-    builder.li(y_ctr, geometry.y_count)
+    builder.li(y_ctr, shape.y_count)
     builder.label("yloop")
     builder.label("xloop")
-    _emit_block(builder, layout, geometry, cfg, pointer_regs, out_ptr,
+    _emit_block(builder, layout, shape, cfg, pointer_regs, out_ptr,
                 coeff_ptr)
     for reg in all_pointers:
         builder.add_imm(reg, x_advance)
@@ -244,25 +263,23 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
             builder.add_imm(reg, plane_adjust)
         builder.inst(f"addi {z_ctr}, {z_ctr}, -1")
         builder.inst(f"bne {z_ctr}, zero, zloop")
-
-    program = assemble_generated(builder, f"{kernel.name}_base_core{geometry.core_id}")
     info = {
         "variant": "base",
         "kernel": kernel.name,
-        "core_id": geometry.core_id,
+        "core_id": Slot("core"),
         "unroll": cfg.unroll,
         "resident_coeffs": cfg.resident,
         "est_cycles_per_point": cfg.est_cycles_per_point,
         "const_values": dict(cfg.const_values),
-        "points": geometry.total_points,
-        "flops": geometry.total_points * kernel.flops_per_point,
+        "points": shape.total_points,
+        "flops": shape.total_points * kernel.flops_per_point,
     }
-    return GeneratedProgram(program=program, source=builder.source(), data=[],
-                            info=info)
+    return assemble_template(
+        builder, f"{kernel.name}_base_core{Slot('core')}", info)
 
 
 def _emit_block(builder: AsmBuilder, layout: TileLayout,
-                geometry: CoreGeometry, cfg: _BaseConfig,
+                shape: CoreShape, cfg: _BaseConfig,
                 pointer_regs: Dict[Tuple[str, int], str], out_ptr: str,
                 coeff_ptr: Optional[str]) -> None:
     def fp_of(operand) -> str:
@@ -279,7 +296,7 @@ def _emit_block(builder: AsmBuilder, layout: TileLayout,
             if isinstance(src, GridOperand):
                 ptr = pointer_regs[plane_key(layout, src)]
                 imm = check_imm12(grid_imm_offset(layout, src,
-                                                  geometry.x_interleave),
+                                                  shape.x_interleave),
                                   f"load of {src.array}{src.offset}")
                 builder.inst(f"fld {dest}, {imm}({ptr})")
             else:
@@ -288,7 +305,7 @@ def _emit_block(builder: AsmBuilder, layout: TileLayout,
                 builder.inst(f"fld {dest}, {imm}({coeff_ptr})")
         elif op.is_store:
             value = fp_of(op.srcs[0])
-            imm = check_imm12(op.point * geometry.x_interleave * 8,
+            imm = check_imm12(op.point * shape.x_interleave * 8,
                               "output store")
             builder.inst(f"fsd {value}, {imm}({out_ptr})")
         else:

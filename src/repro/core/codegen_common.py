@@ -10,6 +10,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.isa.assembler import assemble_lines
+from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.isa.registers import fp_reg_name
 from repro.core.kernels import kernel_fingerprint
@@ -63,11 +64,35 @@ class IntRegAllocator:
         return dict(self._roles)
 
 
+#: Delimits a slot's name in template text; never part of assembly source.
+_SLOT_MARK = "\x00"
+
+
+class Slot:
+    """A per-core value that a program template leaves open.
+
+    It renders as a marked name, so it can stand in template text (a
+    comment, say) and as the immediate of :meth:`AsmBuilder.li`; each core
+    fills it in :meth:`ProgramTemplate.instantiate`.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __str__(self) -> str:
+        return f"{_SLOT_MARK}{self.name}{_SLOT_MARK}"
+
+
 class AsmBuilder:
     """Accumulates assembly source text with small convenience emitters."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
+        #: (instruction index, line index, slot name) of each slotted ``li``.
+        self.slots: List[Tuple[int, int, str]] = []
+        self._insts = 0
 
     def label(self, name: str) -> None:
         """Emit a label definition."""
@@ -79,13 +104,16 @@ class AsmBuilder:
             self.lines.append(f"    {text}  # {comment}")
         else:
             self.lines.append(f"    {text}")
+        self._insts += 1
 
     def comment(self, text: str) -> None:
         """Emit a standalone comment line."""
         self.lines.append(f"    # {text}")
 
-    def li(self, reg: str, value: int, comment: str = "") -> None:
-        """Load an immediate into a register."""
+    def li(self, reg: str, value, comment: str = "") -> None:
+        """Load an immediate, or a :class:`Slot` each core fills, into a register."""
+        if isinstance(value, Slot):
+            self.slots.append((self._insts, len(self.lines), value.name))
         self.inst(f"li {reg}, {value}", comment)
 
     def add_imm(self, reg: str, value: int, comment: str = "") -> None:
@@ -102,6 +130,57 @@ class AsmBuilder:
     def source(self) -> str:
         """Return the accumulated assembly source."""
         return "\n".join(self.lines) + "\n"
+
+
+def _fill(parts: List[str], values: Dict[str, object]) -> str:
+    """Join text split at its slots (literal, slot name, literal, ...)."""
+    filled = list(parts)
+    filled[1::2] = [str(values[slot]) for slot in parts[1::2]]
+    return "".join(filled)
+
+
+@dataclass
+class ProgramTemplate:
+    """One core shape's program, assembled once, with per-core slots.
+
+    Every core of the shape gets the template's instructions, except the
+    slotted ``li`` instructions, which it gets with its own immediates.
+    Sharing is safe because nothing mutates an instruction after its
+    :class:`Program` resolved the branch targets, and those are equal for
+    every core of the shape: the Python engine caches decoded
+    instructions per core and the native engine per program.
+    """
+
+    #: The program with every slot assembled as 0.
+    program: Program
+    #: Source text and program name, split at their slots.
+    source: List[str]
+    name: List[str]
+    #: (instruction index, slot name) of each slotted ``li``.
+    slots: List[Tuple[int, str]]
+    #: The cores' ``info``; a :class:`Slot` value is filled per core.
+    info: Dict[str, object]
+
+    def instantiate(self, values: Dict[str, object],
+                    data: Optional[List[Tuple[int, np.ndarray]]] = None
+                    ) -> "GeneratedProgram":
+        """One core's program, its slots filled from ``values``."""
+        instructions = list(self.program.instructions)
+        for index, slot in self.slots:
+            instructions[index] = Instruction(
+                **{**vars(instructions[index]), "imm": values[slot]})
+        info = {}
+        for key, value in self.info.items():
+            if isinstance(value, Slot):
+                value = values[value.name]
+            elif isinstance(value, (dict, list)):
+                value = type(value)(value)  # each core owns its containers
+            info[key] = value
+        program = Program(instructions, dict(self.program.labels),
+                          _fill(self.name, values))
+        return GeneratedProgram(program=program,
+                                source=_fill(self.source, values),
+                                data=data or [], info=info)
 
 
 @dataclass
@@ -153,6 +232,19 @@ def start_pointer_address(layout: TileLayout, geometry: CoreGeometry,
     return layout.address(array, coords)
 
 
+def position_values(kernel, layout: TileLayout,
+                    geometry: CoreGeometry) -> Dict[str, object]:
+    """The slot values both templates take from a core's position: its id,
+    its first point in the base and output arrays, and its row bound."""
+    base = start_pointer_address(layout, geometry, kernel.base_array)
+    return {
+        "core": geometry.core_id,
+        "base_ptr": base,
+        "out_ptr": start_pointer_address(layout, geometry, kernel.output),
+        "x_bound": base + geometry.x_count * geometry.x_interleave * 8,
+    }
+
+
 def loop_strides(layout: TileLayout,
                  y_interleave: int = Y_INTERLEAVE) -> Tuple[int, int]:
     """(row advance, plane advance) in bytes for the y/z loop bookkeeping."""
@@ -172,11 +264,12 @@ def planning_scope() -> Iterator[None]:
 
     The cores of a cluster run one SPMD program, each on its own slice of
     the tile, so their backends lower, schedule and allocate the same
-    blocks and assemble mostly the same lines.  Inside the scope,
-    :func:`planned` computes each distinct (planner, kernel, arguments) key
-    once and :func:`assemble_generated` parses each distinct line once.
-    Emission stays per core, and every program gets fresh instructions.
-    Nothing outlives the outermost scope; a nested scope joins it.
+    blocks, and cores of one :class:`~repro.core.parallel.CoreShape` run
+    the same instructions.  Inside the scope, :func:`planned` computes each
+    distinct (planner, kernel, arguments) key once, the built-in backends
+    emit one :class:`ProgramTemplate` per core shape, and
+    :func:`assemble_template` parses each distinct line once.  Nothing
+    outlives the outermost scope; a nested scope joins it.
     """
     if _SCOPE.get() is not None:
         yield
@@ -205,8 +298,42 @@ def planned(planner: Callable, kernel, *args):
     return plans[key]
 
 
-def assemble_generated(builder: AsmBuilder, name: str) -> Program:
-    """Assemble the accumulated lines, attaching the program name."""
+class Same:
+    """A :func:`planned` argument that matches only the very same object.
+
+    For an unhashable input that every core of a program set shares, such
+    as its :class:`TileLayout`.  The key holds the object, so no other
+    object can take its ``id`` while the key lives.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return id(self.value)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Same) and other.value is self.value
+
+
+def assemble_template(builder: AsmBuilder, name: str,
+                      info: Dict[str, object]) -> ProgramTemplate:
+    """Assemble the accumulated lines, each slot as 0, into a template
+    whose programs are called ``name`` and carry ``info`` (both may hold
+    slots)."""
+    lines = list(builder.lines)
+    for _index, line, slot in builder.slots:
+        lines[line] = lines[line].replace(str(Slot(slot)), "0")
     scope = _SCOPE.get()
-    return assemble_lines(builder.lines, name=name,
-                          parsed=None if scope is None else scope[1])
+    program = assemble_lines(lines, name="template",
+                             parsed=None if scope is None else scope[1])
+    if len(program) != builder._insts:
+        raise CodegenError("a template line is not one instruction")
+    return ProgramTemplate(
+        program=program,
+        source=builder.source().split(_SLOT_MARK),
+        name=name.split(_SLOT_MARK),
+        slots=[(index, slot) for index, _line, slot in builder.slots],
+        info=info)

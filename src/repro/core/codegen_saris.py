@@ -20,17 +20,21 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.isa.registers import fp_reg_name
 from repro.core.codegen_common import (
     AsmBuilder,
     CodegenError,
     GeneratedProgram,
     IntRegAllocator,
-    assemble_generated,
+    ProgramTemplate,
+    Same,
+    Slot,
+    assemble_template,
     check_imm12,
     loop_strides,
     planned,
-    start_pointer_address,
+    position_values,
 )
 from repro.core.layout import TileLayout
 from repro.core.lowering import (
@@ -40,7 +44,7 @@ from repro.core.lowering import (
     VReg,
     lower_block,
 )
-from repro.core.parallel import CoreGeometry, choose_block
+from repro.core.parallel import CoreGeometry, CoreShape, choose_block
 from repro.core.regalloc import linear_scan
 from repro.core.saris import (
     SR0,
@@ -147,14 +151,42 @@ def generate_saris_program(kernel: StencilKernel, layout: TileLayout,
     so that (a) the block evenly divides the core's per-row point count,
     (b) the floating-point body fits the FREP repetition buffer
     (``frep_limit`` instructions) and (c) register allocation succeeds.
+    Cores of one shape share a program template; this core allocates its
+    own index arrays and fills their addresses, its start pointers and its
+    row bound.
     """
+    template, arrays = planned(
+        _shape_template, kernel, Same(layout), geometry.shape, max_block,
+        max_body_unroll, coeff_reg_budget, use_frep, frep_limit,
+        reassoc_width, force_store_streamed)
+    values = position_values(kernel, layout, geometry)
+    data: List[Tuple[int, np.ndarray]] = []
+    for slot, array in arrays:
+        addr = allocator.alloc(max(array.size, 1) * array.itemsize, align=8)
+        values[slot] = addr
+        data.append((addr, array))
+    return template.instantiate(values, data)
+
+
+def _shape_template(kernel: StencilKernel, layout: Same, shape: CoreShape,
+                    max_block: int, max_body_unroll: int,
+                    coeff_reg_budget: int, use_frep: bool, frep_limit: int,
+                    reassoc_width: int, force_store_streamed: Optional[bool]
+                    ) -> Tuple[ProgramTemplate,
+                               List[Tuple[str, np.ndarray]]]:
+    """Pick one core shape's configuration and emit its program template.
+
+    Also returns the shape's TCDM arrays, each under the slot that takes
+    its address.
+    """
+    layout = layout.value
     num_coeffs = kernel.coeffs_per_point
     store_streamed = (num_coeffs <= coeff_reg_budget
                       if force_store_streamed is None else force_store_streamed)
 
     candidates: List[Tuple[int, int]] = []  # (body_unroll, frep_reps)
     if store_streamed and use_frep:
-        block_points = choose_block(geometry.x_count, max_block)
+        block_points = choose_block(shape.x_count, max_block)
         # Largest body unroll whose FP body fits the FREP buffer; the rest of
         # the block is covered by hardware-loop repetitions.
         for unroll in sorted(
@@ -167,9 +199,9 @@ def generate_saris_program(kernel: StencilKernel, layout: TileLayout,
         if not candidates:
             # Body too large for the FREP buffer even for a single point:
             # fall back to plain offloading with a small unrolled block.
-            candidates.append((choose_block(geometry.x_count, max_body_unroll), 1))
+            candidates.append((choose_block(shape.x_count, max_body_unroll), 1))
     else:
-        for unroll in geometry.block_candidates(max_body_unroll):
+        for unroll in shape.block_candidates(max_body_unroll):
             candidates.append((unroll, 1))
     config: Optional[_SarisConfig] = None
     for body_unroll, frep_reps in candidates:
@@ -182,7 +214,10 @@ def generate_saris_program(kernel: StencilKernel, layout: TileLayout,
         raise CodegenError(
             f"{kernel.name}: no SARIS configuration passes register allocation"
         )
-    return _emit(kernel, layout, geometry, allocator, config)
+    streams = _prepare_streams(kernel, layout, shape, config)
+    with obs.phase("codegen.emit"):
+        template = _emit(kernel, layout, shape, config, streams)
+    return template, streams["arrays"]
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +226,23 @@ def generate_saris_program(kernel: StencilKernel, layout: TileLayout,
 
 
 def _prepare_streams(kernel: StencilKernel, layout: TileLayout,
-                     geometry: CoreGeometry, allocator,
-                     cfg: _SarisConfig) -> Dict[str, object]:
-    """Resolve index arrays / coefficient tables and allocate them in TCDM."""
+                     shape: CoreShape, cfg: _SarisConfig) -> Dict[str, object]:
+    """Resolve the index arrays and the streamed coefficient table.
+
+    Their contents are equal for every core of the shape; each core
+    allocates its own copies in TCDM, in the order of ``arrays``.  The
+    arrays are read-only, so the cores' data share them.
+    """
     entries = {}
     for dm in (SR0, SR1):
         entries[dm] = resolve_index_entries(
             cfg.mapping.sr_sequences[dm], layout, kernel.base_array,
-            x_interleave=geometry.x_interleave, block_reps=cfg.frep_reps,
+            x_interleave=shape.x_interleave, block_reps=cfg.frep_reps,
             block_points=cfg.body_unroll)
     width = max(index_width_bytes(entries[SR0]), index_width_bytes(entries[SR1]))
-    data: List[Tuple[int, np.ndarray]] = []
-    idx_addrs = {}
-    for dm in (SR0, SR1):
-        count = max(len(entries[dm]), 1)
-        addr = allocator.alloc(count * width, align=8)
-        idx_addrs[dm] = addr
-        dtype = np.int16 if width == 2 else np.int32
-        data.append((addr, np.asarray(entries[dm], dtype=dtype)))
-    coeff_stream_addr = None
+    dtype = np.int16 if width == 2 else np.int32
+    arrays = [(f"idx_{dm}", np.asarray(entries[dm], dtype=dtype))
+              for dm in (SR0, SR1)]
     coeff_stream_len = 0
     if not cfg.mapping.store_streamed:
         values = []
@@ -220,49 +253,45 @@ def _prepare_streams(kernel: StencilKernel, layout: TileLayout,
                 raise CodegenError(f"missing value for streamed coefficient {name!r}")
             values.append(lookup[name])
         coeff_stream_len = len(values)
-        coeff_stream_addr = allocator.alloc(max(coeff_stream_len, 1) * 8, align=8)
-        data.append((coeff_stream_addr, np.asarray(values, dtype=np.float64)))
+        arrays.append(("coeff_stream", np.asarray(values, dtype=np.float64)))
+    for _slot, array in arrays:
+        array.flags.writeable = False
     return {
         "entries": entries,
         "width": width,
-        "idx_addrs": idx_addrs,
-        "coeff_stream_addr": coeff_stream_addr,
+        "arrays": arrays,
         "coeff_stream_len": coeff_stream_len,
-        "data": data,
     }
 
 
-def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
-          allocator, cfg: _SarisConfig) -> GeneratedProgram:
-    streams = _prepare_streams(kernel, layout, geometry, allocator, cfg)
+def _emit(kernel: StencilKernel, layout: TileLayout, shape: CoreShape,
+          cfg: _SarisConfig, streams: Dict[str, object]) -> ProgramTemplate:
     builder = AsmBuilder()
     regs = IntRegAllocator()
-    row_step, plane_step = loop_strides(layout, geometry.y_interleave)
+    row_step, plane_step = loop_strides(layout, shape.y_interleave)
     block_points = cfg.block_points
-    x_advance = block_points * geometry.x_interleave * 8
-    x_span = geometry.x_count * geometry.x_interleave * 8
+    x_advance = block_points * shape.x_interleave * 8
+    x_span = shape.x_count * shape.x_interleave * 8
     row_adjust = row_step - x_span
-    plane_adjust = plane_step - geometry.y_count * row_step
-    blocks_per_row = geometry.x_count // block_points
-    total_blocks = blocks_per_row * geometry.y_count * geometry.z_count
+    plane_adjust = plane_step - shape.y_count * row_step
+    blocks_per_row = shape.x_count // block_points
+    total_blocks = blocks_per_row * shape.y_count * shape.z_count
     store_streamed = cfg.mapping.store_streamed
 
     builder.comment(
-        f"saris {kernel.name} core {geometry.core_id} "
+        f"saris {kernel.name} core {Slot('core')} "
         f"(body_unroll={cfg.body_unroll}, frep={cfg.frep_reps}, "
         f"store_streamed={store_streamed})"
     )
     base_ptr = regs.get("base_ptr")
-    builder.li(base_ptr, start_pointer_address(layout, geometry, kernel.base_array),
+    builder.li(base_ptr, Slot("base_ptr"),
                comment="indirection base / loop pointer")
     x_bound = regs.get("x_bound")
-    builder.li(x_bound,
-               start_pointer_address(layout, geometry, kernel.base_array) + x_span,
-               comment="row bound")
+    builder.li(x_bound, Slot("x_bound"), comment="row bound")
     out_ptr = None
     if not store_streamed:
         out_ptr = regs.get("out_ptr")
-        builder.li(out_ptr, start_pointer_address(layout, geometry, kernel.output),
+        builder.li(out_ptr, Slot("out_ptr"),
                    comment="output pointer (plain fsd stores)")
     scratch_a = regs.get("scratch_a")
     scratch_b = regs.get("scratch_b")
@@ -281,7 +310,7 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
     # Indirect stream configuration (SR0 / SR1).
     for dm in (SR0, SR1):
         builder.inst(f"ssr.cfg.idxsize {dm}, {streams['width']}")
-        builder.li(scratch_a, streams["idx_addrs"][dm],
+        builder.li(scratch_a, Slot(f"idx_{dm}"),
                    comment=f"SR{dm} index array")
         builder.li(scratch_b, len(streams["entries"][dm]))
         builder.inst(f"ssr.cfg.idx {dm}, {scratch_a}, {scratch_b}")
@@ -291,19 +320,18 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
         builder.inst(f"ssr.cfg.write {SR2}, 1")
         dims = 3 if kernel.dims == 3 else 2
         builder.inst(f"ssr.cfg.dims {SR2}, {dims}")
-        bounds = [geometry.x_count, geometry.y_count]
-        strides = [geometry.x_interleave * 8,
-                   geometry.y_interleave * layout.row_elems * 8]
+        bounds = [shape.x_count, shape.y_count]
+        strides = [shape.x_interleave * 8,
+                   shape.y_interleave * layout.row_elems * 8]
         if kernel.dims == 3:
-            bounds.append(geometry.z_count)
+            bounds.append(shape.z_count)
             strides.append(layout.plane_elems * 8)
         for dim, (bound, stride) in enumerate(zip(bounds, strides)):
             builder.li(scratch_a, bound)
             builder.inst(f"ssr.cfg.bound {SR2}, {dim}, {scratch_a}")
             builder.li(scratch_a, stride)
             builder.inst(f"ssr.cfg.stride {SR2}, {dim}, {scratch_a}")
-        builder.li(scratch_a,
-                   start_pointer_address(layout, geometry, kernel.output))
+        builder.li(scratch_a, Slot("out_ptr"))
         builder.inst(f"ssr.cfg.base {SR2}, {scratch_a}")
         builder.inst(f"ssr.start {SR2}")
     elif streams["coeff_stream_len"]:
@@ -317,7 +345,7 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
         builder.inst(f"ssr.cfg.bound {SR2}, 1, {scratch_a}")
         builder.li(scratch_a, 0)
         builder.inst(f"ssr.cfg.stride {SR2}, 1, {scratch_a}")
-        builder.li(scratch_a, streams["coeff_stream_addr"])
+        builder.li(scratch_a, Slot("coeff_stream"))
         builder.inst(f"ssr.cfg.base {SR2}, {scratch_a}")
         builder.inst(f"ssr.start {SR2}")
 
@@ -330,16 +358,16 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
     y_ctr = regs.get("y_ctr")
     z_ctr = regs.get("z_ctr") if kernel.dims == 3 else None
     if z_ctr:
-        builder.li(z_ctr, geometry.z_count)
+        builder.li(z_ctr, shape.z_count)
         builder.label("zloop")
-    builder.li(y_ctr, geometry.y_count)
+    builder.li(y_ctr, shape.y_count)
     builder.label("yloop")
     builder.label("xloop")
     # Stream launch for the next block (the three-instruction SRIR sequence).
     builder.inst(f"ssr.launch {SR0}, {base_ptr}")
     builder.inst(f"ssr.launch {SR1}, {base_ptr}")
     builder.inst("ssr.commit")
-    body = _render_body(kernel, cfg, geometry, out_ptr)
+    body = _render_body(kernel, cfg, shape, out_ptr)
     if frep_reg is not None:
         builder.inst(f"frep.o {frep_reg}, {len(body)}")
     for line in body:
@@ -362,13 +390,10 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
         builder.inst(f"bne {z_ctr}, zero, zloop")
     builder.inst("ssr.barrier")
     builder.inst("ssr.disable")
-
-    program = assemble_generated(builder,
-                                 f"{kernel.name}_saris_core{geometry.core_id}")
     info = {
         "variant": "saris",
         "kernel": kernel.name,
-        "core_id": geometry.core_id,
+        "core_id": Slot("core"),
         "body_unroll": cfg.body_unroll,
         "frep_reps": cfg.frep_reps,
         "block_points": block_points,
@@ -377,15 +402,15 @@ def _emit(kernel: StencilKernel, layout: TileLayout, geometry: CoreGeometry,
         "stream_balance": cfg.mapping.balance,
         "index_width": streams["width"],
         "const_values": dict(cfg.const_values),
-        "points": geometry.total_points,
-        "flops": geometry.total_points * kernel.flops_per_point,
+        "points": shape.total_points,
+        "flops": shape.total_points * kernel.flops_per_point,
     }
-    return GeneratedProgram(program=program, source=builder.source(),
-                            data=streams["data"], info=info)
+    return assemble_template(
+        builder, f"{kernel.name}_saris_core{Slot('core')}", info)
 
 
 def _render_body(kernel: StencilKernel, cfg: _SarisConfig,
-                 geometry: CoreGeometry,
+                 shape: CoreShape,
                  out_ptr: Optional[str]) -> List[str]:
     """Render the floating-point body of one block (the FREP-able region)."""
     mapping = cfg.mapping
@@ -406,7 +431,7 @@ def _render_body(kernel: StencilKernel, cfg: _SarisConfig,
                 continue  # the producing operation writes to the stream directly
             value = op.srcs[0]
             reg = fp_reg_name(cfg.assignment[value])
-            imm = check_imm12(op.point * geometry.x_interleave * 8,
+            imm = check_imm12(op.point * shape.x_interleave * 8,
                               "output store")
             lines.append(f"fsd {reg}, {imm}({out_ptr})")
             continue

@@ -64,6 +64,35 @@ class GeometryError(ValueError):
     """Raised when a tile cannot be distributed over the cores."""
 
 
+@dataclass(frozen=True)
+class CoreShape:
+    """What a core's program depends on besides the core's position.
+
+    Cores with equal shapes run the same instruction stream up to their
+    start pointers, row bound and SARIS index-array addresses, so the code
+    generators emit one program template per shape.
+    """
+
+    x_count: int
+    y_count: int
+    z_count: int
+    x_interleave: int = X_INTERLEAVE
+    y_interleave: int = Y_INTERLEAVE
+
+    @property
+    def total_points(self) -> int:
+        """Total grid points updated by a core of this shape."""
+        return self.x_count * self.y_count * self.z_count
+
+    def block_candidates(self, max_block: int) -> List[int]:
+        """Divisors of the per-row point count, largest first, capped at ``max_block``."""
+        count = self.x_count
+        if count == 0:
+            return [1]
+        divisors = [d for d in range(1, count + 1) if count % d == 0 and d <= max_block]
+        return sorted(divisors, reverse=True)
+
+
 @dataclass
 class CoreGeometry:
     """The set of grid points one core iterates over, and its loop structure."""
@@ -104,6 +133,12 @@ class CoreGeometry:
         return self.x_count * self.y_count * self.z_count
 
     @property
+    def shape(self) -> CoreShape:
+        """This core's loop counts and lane strides, without its position."""
+        return CoreShape(self.x_count, self.y_count, self.z_count,
+                         self.x_interleave, self.y_interleave)
+
+    @property
     def start_coords(self) -> Tuple[int, ...]:
         """Tile coordinates of this core's first point."""
         if not self.x_indices or not self.y_indices:
@@ -124,11 +159,7 @@ class CoreGeometry:
 
     def block_candidates(self, max_block: int) -> List[int]:
         """Divisors of the per-row point count, largest first, capped at ``max_block``."""
-        count = self.x_count
-        if count == 0:
-            return [1]
-        divisors = [d for d in range(1, count + 1) if count % d == 0 and d <= max_block]
-        return sorted(divisors, reverse=True)
+        return self.shape.block_candidates(max_block)
 
 
 def cluster_geometry(kernel: StencilKernel,

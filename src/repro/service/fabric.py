@@ -52,6 +52,7 @@ from repro import obs
 from repro.result import KernelRunResult
 from repro.service.queue import QUEUED, RUNNING, JobQueue
 from repro.service.spec import job_to_wire
+from repro.sweep.store import encode_result
 
 #: Fabric metrics.  A fabric-executed job moves the same ``repro_queue_*``
 #: executed/failed/latency series a locally executed one does: the
@@ -365,10 +366,14 @@ class FabricCoordinator:
 
     def _publish(self, entry, result: KernelRunResult,
                  payload: Dict[str, object]) -> None:
-        """Publish to the store, then mark done and fan out (crash-safe)."""
+        """Publish to the store, then mark done and fan out (crash-safe).
+
+        The result is encoded once, for both the store entry and the queue.
+        """
+        text = encode_result(result)
         if self.queue.store is not None:
-            self.queue.store.save(entry.job, result)
-        self.queue._conclude(entry, result=result,
+            self.queue.store.save(entry.job, result, text)
+        self.queue._conclude(entry, result=result, text=text,
                              attempts=int(payload.get("attempts", 1)),
                              degraded=bool(payload.get("degraded", False)))
 

@@ -52,7 +52,7 @@ from typing import (AsyncIterator, Dict, List, Optional, Sequence, Set,
 from repro import obs
 from repro.result import KernelRunResult
 from repro.sweep.job import SweepJob
-from repro.sweep.store import ResultStore
+from repro.sweep.store import ResultStore, encode_result
 from repro.sweep.supervisor import RetryPolicy, SupervisedPool
 
 #: Queue metrics: lifetime counters twinning the instance attributes (so
@@ -107,10 +107,6 @@ TERMINAL_STATES = (DONE, FAILED, CANCELLED)
 #: by this queue), ``"store"`` (persistent-store hit at submit time) or
 #: ``"memo"`` (already terminal in this queue's memory).
 SOURCES = ("executed", "store", "memo")
-
-#: Compact JSON through the C encoder, keys in the payload's own order.
-_JSON = json.JSONEncoder(separators=(",", ":"))
-
 
 class QueueError(RuntimeError):
     """Misuse of the job queue (unknown ids, not started, closed)."""
@@ -177,9 +173,11 @@ class JobEntry:
                 payload["result"] = json.loads(self.result)
         return payload
 
-    def set_result(self, result: KernelRunResult) -> None:
-        """Keep ``result`` as text plus its headline metrics."""
-        self.result = _JSON.encode(result.to_json_dict())
+    def set_result(self, result: KernelRunResult,
+                   text: Optional[str] = None) -> None:
+        """Keep ``result`` as text (its :func:`encode_result`, encoded
+        here unless given) plus its headline metrics."""
+        self.result = encode_result(result) if text is None else text
         self.metrics = {
             "cycles": result.cycles,
             "fpu_util": result.fpu_util,
@@ -613,14 +611,15 @@ class JobQueue:
             self._emit(entry, "progress", phase="simulated", elapsed=round(
                 time.monotonic() - entry.started_mono, 4))
             try:
+                text = encode_result(outcome.result)
                 if self.store is not None:
-                    self.store.save(entry.job, outcome.result)
+                    self.store.save(entry.job, outcome.result, text)
             except Exception as exc:  # noqa: BLE001 - fails the job
                 self._conclude(entry, error={
                     "kind": "exception", "error_type": type(exc).__name__,
                     "message": str(exc)}, attempts=outcome.attempts)
             else:
-                self._conclude(entry, result=outcome.result,
+                self._conclude(entry, result=outcome.result, text=text,
                                attempts=outcome.attempts,
                                degraded=outcome.degraded)
 
@@ -635,16 +634,18 @@ class JobQueue:
     def _conclude(self, entry: JobEntry,
                   result: Optional[KernelRunResult] = None,
                   error: Optional[Dict[str, object]] = None,
-                  attempts: int = 1, degraded: bool = False) -> None:
-        """Finish a running job: ``done`` with ``result``, or ``failed``
-        with ``error``; then fan out its terminal event."""
+                  attempts: int = 1, degraded: bool = False,
+                  text: Optional[str] = None) -> None:
+        """Finish a running job: ``done`` with ``result`` (and its text,
+        if already encoded), or ``failed`` with ``error``; then fan out
+        its terminal event."""
         entry.attempts = attempts
         entry.finished_at = time.time()
         entry.finished_mono = time.monotonic()
         if error is None:
             entry.state = DONE
             entry.source = "executed"
-            entry.set_result(result)
+            entry.set_result(result, text)
             entry.degraded = degraded
             self.executed += 1
             _OBS_EXECUTED.inc()

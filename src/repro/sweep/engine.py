@@ -59,6 +59,7 @@ from repro.sweep.supervisor import (
     SingleJobOutcome,
     SupervisedPool,
     SweepJobError,
+    count_outcome,
     execute_supervised,
 )
 
@@ -343,6 +344,7 @@ def run_sweep(jobs: Sequence[SweepJob], workers: Optional[int] = None,
     else:
         for index in unique:
             outcome = execute_supervised(jobs[index], policy)
+            count_outcome(outcome)  # the pool counts its own jobs
             if outcome.failure is not None and on_error == "raise":
                 raise outcome.exception
             finish(index, outcome, "serial")

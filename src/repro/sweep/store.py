@@ -60,6 +60,12 @@ _TMP_STALE_SECONDS = 60.0
 #: one); sorted keys keep entries byte-stable.
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+
+def encode_result(result: KernelRunResult) -> str:
+    """``result`` as the compact, key-sorted JSON text a store entry holds."""
+    return _JSON.encode(result.to_json_dict())
+
+
 #: Process-wide store metrics (all stores in the process share them, which
 #: matches the operational question: "is this *process* hitting its cache?").
 _OBS_HITS = obs.counter("repro_store_hits_total",
@@ -198,8 +204,12 @@ class ResultStore:
         self.quarantined += 1
         _OBS_QUARANTINED.inc()
 
-    def save(self, job: SweepJob, result: KernelRunResult) -> Path:
+    def save(self, job: SweepJob, result: KernelRunResult,
+             text: Optional[str] = None) -> Path:
         """Persist ``result`` for ``job`` (atomic rename, no partial files).
+
+        ``text`` is the result's :func:`encode_result`, for a caller that
+        keeps it too: the result is then not encoded again.
 
         The temp file is removed even when serialization or the rename
         fails, so an aborted save cannot leak ``*.tmp<pid>`` litter into the
@@ -217,11 +227,12 @@ class ResultStore:
         observable as strictly ordered for tooling that also takes the lock.
         """
         path = self.path_for(job)
-        text = _JSON.encode({
-            "engine_version": self.engine_version,
-            "job": job.spec(),
-            "result": result.without_cluster().to_json_dict(),
-        }) + "\n"
+        if text is None:
+            text = encode_result(result)
+        # The text of a key-sorted dict of these three keys, spelled out so
+        # the result's own text goes in as it is.
+        text = (f'{{"engine_version":{_JSON.encode(self.engine_version)},'
+                f'"job":{_JSON.encode(job.spec())},"result":{text}}}\n')
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
             f"-{next(self._save_counter)}")

@@ -4,8 +4,10 @@
 streaming ``submit(job, trace=None) -> Future[SingleJobOutcome]``.  Parallel
 sweeps (:func:`repro.sweep.engine.run_sweep`), the service queue's local
 dispatch (``repro serve``) and the fabric worker (``repro worker``) all run
-their jobs on it.  One dispatcher thread forks every worker, initial and
-replacement, and lives until :meth:`SupervisedPool.close`.
+their jobs on it.  The thread that opens the pool forks the initial
+workers, so they allocate from the main thread's malloc arena; one
+dispatcher thread, which lives until :meth:`SupervisedPool.close`, feeds
+them and forks every replacement.
 
 Each worker owns one duplex pipe and holds exactly one job, the one it
 runs.  Submitted jobs wait in the pool's shared queue, so whichever worker
@@ -20,11 +22,20 @@ exactly:
   attempts together, counted from when its worker got it.  An overdue
   worker is killed, joined and replaced the same way.
 
+A worker that dies while idle is replaced without charging any job: the
+dispatcher watches every worker's pipe, and an idle worker's pipe only
+turns readable at EOF.
+
 Workers never outlive their parent: each one closes the parent's pipe ends
 it inherited at fork, so an idle worker reads EOF when the parent dies, and
-on Linux asks the kernel to SIGKILL it when the dispatcher thread ends,
-which also covers a worker stuck inside a job.  ``close()`` ends the
-workers at once, also one in the middle of a job.
+on Linux asks the kernel to SIGKILL it when the thread that forked it ends,
+which also covers a worker stuck inside a job.  That thread is the one
+that opened the pool for the initial workers, so it must outlive the pool.
+``close()`` ends the workers at once, also one in the middle of a job.
+
+The supervision counters are counted from each job's outcome
+(:func:`count_outcome`) by the dispatcher or the serial sweep path, never
+in a pool worker, whose counts would not reach the parent.
 
 One recovery ladder, :meth:`RetryPolicy.next_step`, decides what follows
 every failure, both inside a worker (:func:`execute_supervised`, which the
@@ -62,15 +73,16 @@ from repro import obs
 from repro.result import KernelRunResult
 from repro.sweep.job import SweepJob
 
-#: Supervision metrics: every attempt / retry / degradation / fault across
-#: all supervised execution in this process and, for timeouts, its pools.
+#: Supervision metrics: every attempt / retry / degradation / fault of the
+#: jobs this process supervised, in-process or on its pools.
 _OBS_ATTEMPTS = obs.counter("repro_supervisor_attempts_total",
                             "Supervised job execution attempts")
 _OBS_RETRIES = obs.counter("repro_supervisor_retries_total",
-                           "Supervised retries after in-band failures")
+                           "Supervised retries and degradations after "
+                           "failures")
 _OBS_DEGRADATIONS = obs.counter(
     "repro_supervisor_degradations_total",
-    "Jobs degraded to the forced Python engine after a native fault")
+    "Jobs degraded to the forced Python engine after a failure")
 _OBS_NATIVE_FAULTS = obs.counter(
     "repro_supervisor_native_faults_total",
     "Structured native-engine faults seen by the supervisor")
@@ -265,6 +277,15 @@ class SingleJobOutcome:
                               "error": error})
 
 
+def count_outcome(outcome: SingleJobOutcome) -> None:
+    """Add one supervised job to this process's supervision counters."""
+    _OBS_ATTEMPTS.inc(outcome.attempts)
+    _OBS_RETRIES.inc(outcome.retries)
+    _OBS_DEGRADATIONS.inc(sum(1 for step in outcome.progress
+                              if step["phase"] == "degraded"))
+    _OBS_NATIVE_FAULTS.inc(outcome.native_faults)
+
+
 def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
                        attempt: int = 1,
                        force_python: bool = False) -> SingleJobOutcome:
@@ -280,13 +301,13 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
     ``attempt`` and ``force_python`` say where on the ladder to start: the
     pool passes them when it re-runs a job whose worker crashed or timed out.
     Each retry and degradation is listed in the outcome's ``progress``.
+    The caller counts the outcome (:func:`count_outcome`).
     """
     from repro.snitch import native
     from repro.sweep.engine import execute_job
 
     outcome = SingleJobOutcome()
     while True:
-        _OBS_ATTEMPTS.inc()
         start = time.perf_counter()
         try:
             if force_python:
@@ -302,7 +323,6 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
                     and not force_python):
                 kind = "native_fault"
                 outcome.native_faults += 1
-                _OBS_NATIVE_FAULTS.inc()
             step = policy.next_step(kind, attempt, force_python)
             if step is None:
                 outcome.failure = JobFailure(
@@ -319,9 +339,6 @@ def execute_supervised(job: SweepJob, policy: RetryPolicy, *,
                 outcome.exception = exc
                 outcome.attempts = attempt
                 return outcome
-            _OBS_RETRIES.inc()
-            if step == "degraded":
-                _OBS_DEGRADATIONS.inc()
             outcome.step(step, attempt, type(exc).__name__)
             time.sleep(policy.backoff_for(attempt))
             attempt += 1
@@ -337,8 +354,10 @@ def _die_with_parent(parent: int) -> bool:
     """Have the kernel SIGKILL this worker when its parent dies (Linux).
 
     The signal fires when the thread that forked the worker exits: the
-    pool's dispatcher thread, which joins every worker before it ends.
-    Returns False if the parent is already gone.
+    thread that opened the pool for an initial worker, which must outlive
+    the pool, and the dispatcher thread, which joins every worker before
+    it ends, for a replacement.  Returns False if the parent is already
+    gone.
     """
     if sys.platform.startswith("linux"):
         import ctypes
@@ -453,11 +472,12 @@ class _Worker:
 
 def _resolve(task: _Task, outcome: SingleJobOutcome) -> None:
     """Complete the task's future with ``outcome`` plus the dispatcher's
-    own ladder steps for it."""
+    own ladder steps for it, and count it."""
     outcome.retries += task.ladder.retries
     outcome.restarts += task.ladder.restarts
     outcome.timeouts += task.ladder.timeouts
     outcome.progress[:0] = task.ladder.progress
+    count_outcome(outcome)
     try:
         task.future.set_result(outcome)
     except InvalidStateError:
@@ -467,9 +487,12 @@ def _resolve(task: _Task, outcome: SingleJobOutcome) -> None:
 class SupervisedPool:
     """Runs jobs on supervised worker processes (see module docs).
 
-    ``submit`` may be called from any thread.  ``close`` ends the workers,
-    joins them and the dispatcher thread, and cancels the future of every
-    job that has not finished; it is idempotent.
+    The constructor forks the initial workers on the calling thread, which
+    must outlive the pool: on Linux a worker is SIGKILLed when the thread
+    that forked it ends.  ``submit`` may be called from any thread.
+    ``close`` ends the workers, joins them and the dispatcher thread, and
+    cancels the future of every job that has not finished; it is
+    idempotent.
     """
 
     def __init__(self, workers: int, policy: RetryPolicy) -> None:
@@ -489,6 +512,18 @@ class SupervisedPool:
         self._wake_reader, self._wake_writer = self._context.Pipe(
             duplex=False)
         self._wake_pending = False
+        # Forked before the dispatcher thread exists, the initial workers
+        # keep allocating from the main arena, not from that thread's.
+        self._workers: List[_Worker] = []
+        try:
+            for _ in range(self.workers):
+                self._workers.append(self._fork(self._workers))
+        except BaseException:
+            for worker in self._workers:
+                worker.stop(kill=True)
+            self._wake_reader.close()
+            self._wake_writer.close()
+            raise
         self._thread = threading.Thread(target=self._run,
                                         name="repro-pool", daemon=True)
         self._thread.start()
@@ -536,23 +571,22 @@ class SupervisedPool:
                        + [self._wake_reader, self._wake_writer])
 
     def _run(self) -> None:
-        """Dispatcher thread: fork, feed and supervise the workers."""
+        """Dispatcher thread: feed and supervise the workers, fork
+        replacements."""
         queue: Deque[_Task] = deque()
-        workers: List[_Worker] = []
+        workers = self._workers
         timeout = self.policy.timeout_seconds
         try:
-            for _ in range(self.workers):
-                workers.append(self._fork(workers))
             while self._take(queue):
                 self._dispatch(queue, workers)
                 wait([self._wake_reader]
-                     + [worker.conn for worker in workers
-                        if worker.task is not None],
+                     + [worker.conn for worker in workers],
                      self._wake_after(queue, workers))
                 finished = []
                 for slot, worker in enumerate(workers):
                     task = worker.task
                     if task is None:
+                        self._replace_if_dead(workers, slot)
                         continue
                     if worker.conn.poll():
                         try:
@@ -592,10 +626,22 @@ class SupervisedPool:
             self._wake_reader.close()
             self._wake_writer.close()
 
+    def _replace_if_dead(self, workers: List[_Worker], slot: int) -> _Worker:
+        """The idle worker in ``slot``, replaced first if it died.
+
+        An idle worker sends nothing, so a readable pipe is EOF: it died
+        (the OOM killer, a stray signal) with no job to charge.
+        """
+        worker = workers[slot]
+        if worker.conn.poll():
+            worker.stop(kill=True)
+            worker = workers[slot] = self._fork(workers)
+        return worker
+
     def _dispatch(self, queue: Deque[_Task], workers: List[_Worker]) -> None:
         """Hand every idle worker the first task whose backoff is over."""
         now = time.monotonic()
-        for worker in workers:
+        for slot, worker in enumerate(workers):
             if worker.task is not None:
                 continue
             ready = next((i for i, task in enumerate(queue)
@@ -604,7 +650,7 @@ class SupervisedPool:
                 return
             task = queue[ready]
             del queue[ready]
-            worker.send(task)
+            self._replace_if_dead(workers, slot).send(task)
 
     def _wake_after(self, queue: Deque[_Task],
                     workers: List[_Worker]) -> Optional[float]:

@@ -14,6 +14,7 @@ merged result is bit-identical to a serial in-process run.
 
 import asyncio
 import contextlib
+import json
 import os
 import subprocess
 import sys
@@ -129,6 +130,38 @@ class TestFabricProtocol:
             with pytest.raises(ServiceError) as err:
                 client.heartbeat(grant["lease"])
             assert err.value.status == 410
+
+    def test_a_completion_encodes_its_result_once(self, tmp_path,
+                                                  monkeypatch):
+        store = ResultStore(tmp_path)
+        result = execute_job_cached(None)
+        encoded = []
+        to_json_dict = KernelRunResult.to_json_dict
+
+        def counted(self):
+            encoded.append(self)
+            return to_json_dict(self)
+        with running_fabric(store=store) as (service, client):
+            receipt = client.submit({"jobs": [JOB_WIRE]})
+            grant = client.lease("w1")["grants"][0]
+            payload = ok_payload(grant["hash"], result)
+            monkeypatch.setattr(KernelRunResult, "to_json_dict", counted)
+            client.complete(grant["lease"], payload)
+            monkeypatch.undo()
+            assert client.sweep(receipt["sweep"])["state"] == "done"
+            served = client.job(grant["hash"])["result"]
+        assert len(encoded) == 1
+        assert served == payload["result"]
+        # Byte for byte the compact, key-sorted encoding of the whole entry.
+        job = job_from_wire(JOB_WIRE)
+        uploaded = KernelRunResult.from_json_dict(payload["result"])
+        expected = json.JSONEncoder(
+            sort_keys=True, separators=(",", ":")).encode({
+                "engine_version": store.engine_version,
+                "job": job.spec(),
+                "result": uploaded.without_cluster().to_json_dict(),
+            }) + "\n"
+        assert store.path_for(job).read_text() == expected
 
     def test_fabric_routes_404_without_fabric_mode(self):
         from tests.test_service_server import running_server

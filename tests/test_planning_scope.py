@@ -63,13 +63,29 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["base", "saris"])
-def test_each_core_owns_its_info_and_instructions(variant):
-    kernel = get_kernel("star3d2r")
-    generated = _compile(kernel, variant)
+def test_each_core_owns_its_info_and_slotted_instructions(variant):
+    kernel = get_kernel("jacobi_2d")  # two core shapes on the 64x64 tile
+    cluster = SnitchCluster()
+    layout = build_layout(kernel, cluster.allocator)
+    geometries = cluster_geometry(kernel, layout.tile_shape)
+    generated = generate_programs(kernel, layout, cluster, variant)
     expected = [copy.deepcopy(gen.info) for gen in generated]
-    instructions = [inst for gen in generated
-                    for inst in gen.program.instructions]
-    assert len({id(inst) for inst in instructions}) == len(instructions)
+
+    # Cores of one shape share every instruction but their slotted `li`s;
+    # cores of different shapes share none.
+    by_shape = collections.defaultdict(list)
+    for geometry, gen in zip(geometries, generated):
+        by_shape[geometry.shape].append(gen.program.instructions)
+    assert len(by_shape) == 2
+    owners = collections.defaultdict(set)
+    for shape, programs in by_shape.items():
+        for program in programs[1:]:
+            own = [a for a, b in zip(programs[0], program) if a is not b]
+            assert own and {inst.mnemonic for inst in own} == {"li"}
+        for program in programs:
+            for inst in program:
+                owners[id(inst)].add(shape)
+    assert all(len(shapes) == 1 for shapes in owners.values())
 
     generated[0].info["const_values"]["__mutated"] = 1.0
     if variant == "saris":
@@ -79,6 +95,62 @@ def test_each_core_owns_its_info_and_instructions(variant):
     later = _compile(kernel, variant)
     assert [gen.info for gen in later] == expected
     assert later[0].program.instructions[-1].target_idx != -1
+
+
+@pytest.mark.parametrize("kernel,variant,shapes", [
+    ("jacobi_2d", "base", 2),   # 62 interior points a row: 16/16/15/15
+    ("j3d27pt", "saris", 2),    # 14 interior points a row: 4/4/3/3
+    ("star3d2r", "saris", 1)])  # 12 interior points a row: 3 per lane
+def test_one_template_per_core_shape(monkeypatch, kernel, variant, shapes):
+    module = codegen_base if variant == "base" else codegen_saris
+    emitted = []
+    real = module._emit
+
+    def emit(kernel, layout, shape, *args):
+        emitted.append(shape)
+        return real(kernel, layout, shape, *args)
+    monkeypatch.setattr(module, "_emit", emit)
+    generated = _compile(get_kernel(kernel), variant)
+    assert len(generated) == 8
+    assert len(emitted) == len(set(emitted)) == shapes
+
+
+def test_shared_instructions_simulate_like_copied_ones():
+    """Cores of one shape share instruction objects; the Python engine,
+    which caches decoded instructions per core, runs them exactly like
+    programs that own every instruction."""
+    from repro.isa.program import Program
+    from repro.snitch import native
+
+    kernel = get_kernel("jacobi_2d")
+    tile = (12, 12)  # x lanes of 3, 3, 2 and 2 points: two shapes
+    grids = kernel.make_grids(tile, seed=3)
+    snapshots = []
+    for copied in (False, True):
+        cluster = SnitchCluster()
+        layout = build_layout(kernel, cluster.allocator, tile)
+        generated = generate_programs(kernel, layout, cluster, "saris")
+        programs = [gen.program for gen in generated]
+        if copied:
+            programs = [Program([dataclasses.replace(inst)
+                                 for inst in program.instructions],
+                                dict(program.labels), program.name)
+                        for program in programs]
+        for name in kernel.arrays:
+            cluster.write_grid(layout.arrays[name], grids[name])
+        cluster.tcdm.write_f64_array(layout.coeff_table,
+                                     layout.coeff_table_values())
+        for gen in generated:
+            for addr, values in gen.data:
+                cluster.tcdm.write_bytes(addr, values.tobytes())
+        cluster.load_programs(programs)
+        with native.forced_python():
+            result = cluster.run(max_cycles=200_000)
+        assert cluster.engine == "python"
+        snapshots.append((result.cycles, result.activity(), result.cores,
+                          cluster.read_grid(layout.arrays[kernel.output],
+                                            tile).tobytes()))
+    assert snapshots[0] == snapshots[1]
 
 
 @pytest.mark.parametrize("variant", ["base", "saris"])

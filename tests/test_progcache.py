@@ -10,9 +10,12 @@ import time
 import pytest
 
 from repro.core import progcache
+from repro.core.kernels import get_kernel
+from repro.core.layout import build_layout
 from repro.core.variants import register_variant, unregister_variant
 from repro.fingerprint import callable_fingerprint, source_fingerprint
-from repro.runner import _CODEGEN_CACHE, run_kernel
+from repro.runner import _CODEGEN_CACHE, generate_programs, run_kernel
+from repro.snitch.cluster import SnitchCluster
 
 
 @pytest.fixture
@@ -64,6 +67,33 @@ class TestPersistence:
         assert warm.cycles == cold.cycles
         assert warm.activity == cold.activity
         assert warm.program_info == cold.program_info
+
+    @pytest.mark.parametrize("variant", ["base", "saris"])
+    def test_loaded_program_set_equals_fresh_one(self, isolated_cache,
+                                                 variant):
+        kernel = get_kernel("jacobi_2d")  # two core shapes
+        cluster = SnitchCluster()
+        layout = build_layout(kernel, cluster.allocator)
+        fresh = generate_programs(kernel, layout, cluster, variant)
+        progcache.save("set", ("set", variant), (layout, fresh))
+        loaded_layout, loaded = progcache.load("set", ("set", variant))
+
+        def state(generated):
+            return [(gen.source, gen.program.name, gen.program.labels,
+                     gen.program.instructions, gen.info,
+                     [(addr, values.dtype, values.tobytes())
+                      for addr, values in gen.data])
+                    for gen in generated]
+
+        def distinct(generated):
+            return len({id(inst) for gen in generated
+                        for inst in gen.program.instructions})
+
+        assert loaded_layout == layout
+        assert state(loaded) == state(fresh)
+        # Cores of one shape still share their unslotted instructions.
+        assert distinct(loaded) == distinct(fresh) < sum(
+            len(gen.program) for gen in fresh)
 
     def test_entries_shared_across_processes(self, isolated_cache):
         run_kernel("jacobi_2d", variant="saris", tile_shape=(12, 12))

@@ -440,6 +440,69 @@ class TestStreamingPool:
             pool.submit(small_job())
 
 
+class TestPoolWorkers:
+    """Where the pool's workers come from and what replaces them."""
+
+    def test_initial_workers_are_alive_when_the_constructor_returns(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        pool = SupervisedPool(2, RetryPolicy())
+        try:
+            workers = set(multiprocessing.active_children()) - before
+            assert len(workers) == 2
+            assert all(worker.is_alive() for worker in workers)
+        finally:
+            pool.close()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads the worker's state from /proc")
+    def test_an_idle_workers_death_is_charged_to_no_job(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        pool = SupervisedPool(1, RetryPolicy(backoff_seconds=0.001))
+        try:
+            assert pool.submit(small_job()).result(timeout=60).failure is None
+            (worker,) = set(multiprocessing.active_children()) - before
+            os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while _running(worker.pid):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            outcome = pool.submit(small_job("j2d5pt")).result(timeout=60)
+        finally:
+            pool.close()
+        assert outcome.failure is None
+        assert outcome.attempts == 1
+        assert outcome.restarts == 0
+        assert outcome.progress == []
+
+    def test_supervisor_counters_reach_the_parent(self):
+        from repro import obs
+
+        enabled = obs.enabled()
+        obs.set_enabled(True)
+        attempts = obs.counter("repro_supervisor_attempts_total")
+        retries = obs.counter("repro_supervisor_retries_total")
+        moved = {}
+        try:
+            for workers in (2, 1):
+                counted = (attempts.value, retries.value)
+                with injected(FaultSpec(mode="flaky", kernel="box2d1r",
+                                        n=1)):
+                    report = run_sweep(
+                        job_list(), workers=workers, on_error="collect",
+                        retry=RetryPolicy(max_attempts=3,
+                                          backoff_seconds=0.001))
+                assert report.ok and report.retries == 1
+                moved[workers] = (attempts.value - counted[0],
+                                  retries.value - counted[1])
+        finally:
+            obs.set_enabled(enabled)
+        assert moved[2] == moved[1] == (len(job_list()) + 1, 1)
+
+
 def _running(pid):
     """True while ``pid`` runs: a zombie has died, reaped or not."""
     try:
