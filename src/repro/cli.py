@@ -703,6 +703,8 @@ def _cmd_submit(args) -> int:
     except ServiceError as exc:
         print(f"submit: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     if args.json:
         _print_json(final)
     if final["counts"]["failed"]:
@@ -766,6 +768,8 @@ def _cmd_watch(args) -> int:
     except ServiceError as exc:
         print(f"watch: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     if args.json:
         _print_json(final)
     if final["counts"]["failed"]:
@@ -789,6 +793,8 @@ def _cmd_trace(args) -> int:
     except ServiceError as exc:
         print(f"trace: {exc}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
     spans = payload.get("spans") or []
     document = obs.chrome_trace(spans)
     text = json.dumps(document, indent=1, sort_keys=True)

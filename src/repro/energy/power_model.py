@@ -40,10 +40,6 @@ class EnergyModel:
     dma_beat_pj: float = 20.0
     num_cores: int = 8
 
-    def cycle_energy_pj(self, result: ClusterResult) -> float:
-        """Mean energy per cycle (pJ) for a finished cluster run."""
-        return self.activity_energy_pj(result.activity(), result.cycles)
-
     def activity_energy_pj(self, activity: ActivityCounters, cycles: int) -> float:
         """Mean energy per cycle (pJ) from aggregate activity counters."""
         if cycles == 0:

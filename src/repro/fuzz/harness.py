@@ -3,10 +3,10 @@
 ``run_case`` materializes a :class:`~repro.fuzz.generator.FuzzCase` into a
 :class:`~repro.snitch.cluster.SnitchCluster`, runs it under the requested
 engine and snapshots *everything the Python engine leaves behind*: cycle
-count, TCDM bytes and arbitration counters, icache bookkeeping, and per-core
-registers, stall attribution, FPU statistics and stream-mover state — the
-same observable surface ``tests/test_native_engine.py`` pins.  A case where
-any of that differs between engines is a divergence.
+count, TCDM bytes and arbitration counters, icache bookkeeping, DMA state,
+and per-core registers, stall attribution, FPU statistics and stream-mover
+state.  ``tests/test_native_engine.py`` compares the same snapshot.  A case
+where any of it differs between engines is a divergence.
 
 Model-level exceptions (deadlock, memory range, SSR misuse) are part of
 the observable behavior: both engines must raise the same *exception type*
@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fuzz.generator import CORE_WINDOW, FuzzCase, generate_case
+from repro.snitch.trace import FPU_COUNTERS
 
 #: Default location of the checked-in regression corpus.
 CORPUS_DIR = Path("tests") / "fuzz_corpus"
@@ -53,11 +54,11 @@ def _build_cluster(case: FuzzCase):
 
 
 def snapshot(cluster) -> Dict[str, object]:
-    """Full observable state (mirrors tests/test_native_engine.py)."""
+    """Every piece of state the Python engine leaves behind after a run."""
     state: Dict[str, object] = {
         "cycle": cluster.cycle,
-        "tcdm": (cluster.tcdm.total_requests, cluster.tcdm.granted_requests,
-                 cluster.tcdm.conflicts),
+        "tcdm": (cluster.tcdm.cycles, cluster.tcdm.total_requests,
+                 cluster.tcdm.granted_requests, cluster.tcdm.conflicts),
         "icache": (cluster.icache.hits, cluster.icache.misses,
                    tuple(cluster.icache._lines.keys())),
         "mem": bytes(cluster.tcdm._data),
@@ -66,7 +67,6 @@ def snapshot(cluster) -> Dict[str, object]:
                 cluster.dma._remaining_cycles, len(cluster.dma._queue)),
     }
     for core in cluster.cores:
-        stats = core.fpu.stats
         state[f"core{core.hart_id}"] = {
             "pc": core.pc,
             "finished": core.finished,
@@ -76,10 +76,8 @@ def snapshot(cluster) -> Dict[str, object]:
             "iregs": tuple(core.int_regs._regs),
             "fregs": tuple(core.fp_regs._regs),
             "scoreboard": tuple(core.fpu._scoreboard),
-            "fpu": (stats.issued_compute, stats.issued_mem,
-                    stats.issued_move, stats.flops, stats.stall_ssr_read,
-                    stats.stall_ssr_write, stats.stall_raw, stats.stall_mem,
-                    stats.idle_empty),
+            "fpu": {name: getattr(core.fpu.stats, name)
+                    for name in FPU_COUNTERS},
             "ssr": core.ssr.enabled,
             "movers": tuple(
                 (m.cfg.write, m.cfg.indirect, m.elements_streamed,

@@ -13,7 +13,7 @@ import copy
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.snitch.trace import ActivityCounters
@@ -22,6 +22,11 @@ if TYPE_CHECKING:
     from repro.snitch.trace import ClusterResult
 
 _JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+#: The ``ActivityCounters`` fields that hold one integer each; the last
+#: field, ``core_cycles``, holds one per core.
+_ACTIVITY_COUNTS = tuple(f.name for f in fields(ActivityCounters)
+                         if f.name != "core_cycles")
 
 
 def _json_safe(value):
@@ -155,17 +160,11 @@ class KernelRunResult:
             payload["phase_seconds"] = {
                 str(k): float(v) for k, v in self.phase_seconds.items()
             }
-        if self.activity is not None:
-            payload["activity"] = {
-                "int_retired": int(self.activity.int_retired),
-                "fp_issued": int(self.activity.fp_issued),
-                "fp_compute": int(self.activity.fp_compute),
-                "flops": int(self.activity.flops),
-                "tcdm_requests": int(self.activity.tcdm_requests),
-                "tcdm_conflicts": int(self.activity.tcdm_conflicts),
-                "dma_bytes": int(self.activity.dma_bytes),
-                "core_cycles": list(self.activity.core_cycles),
-            }
+        activity = self.activity
+        if activity is not None:
+            payload["activity"] = {name: int(getattr(activity, name))
+                                   for name in _ACTIVITY_COUNTS}
+            payload["activity"]["core_cycles"] = list(activity.core_cycles)
         return payload
 
     def metrics_hash(self) -> str:
@@ -192,15 +191,8 @@ class KernelRunResult:
         activity = None
         if raw_activity is not None:
             activity = ActivityCounters(
-                int_retired=int(raw_activity["int_retired"]),
-                fp_issued=int(raw_activity["fp_issued"]),
-                fp_compute=int(raw_activity["fp_compute"]),
-                flops=int(raw_activity["flops"]),
-                tcdm_requests=int(raw_activity["tcdm_requests"]),
-                tcdm_conflicts=int(raw_activity["tcdm_conflicts"]),
-                dma_bytes=int(raw_activity["dma_bytes"]),
                 core_cycles=tuple(int(c) for c in raw_activity["core_cycles"]),
-            )
+                **{name: int(raw_activity[name]) for name in _ACTIVITY_COUNTS})
         return cls(
             kernel=payload["kernel"],
             variant=payload["variant"],

@@ -361,26 +361,13 @@ class SnitchCluster:
         core_stats = []
         for core in self._cores:
             # Settle the deferred granted-request counts into the TCDM totals
-            # before reading them (see the ssr/fpu module docstrings).
+            # before the result reads them (see the ssr/fpu module docstrings).
             core.fpu.flush_tcdm_stats()
             core.ssr.flush_tcdm_stats()
-        for core in self._cores:
             finish = core.finish_cycle if core.finish_cycle is not None else self.cycle
-            core_stats.append(CoreStats(
-                hart_id=core.hart_id,
-                cycles=finish - start_cycle,
-                int_retired=core.int_retired,
-                fp_issued=core.fpu.stats.issued_total,
-                fp_compute=core.fpu.stats.issued_compute,
-                flops=core.fpu.stats.flops,
-                stalls=core.stalls.as_dict(),
-                fpu_stalls={
-                    "ssr_read": core.fpu.stats.stall_ssr_read,
-                    "ssr_write": core.fpu.stats.stall_ssr_write,
-                    "raw": core.fpu.stats.stall_raw,
-                    "mem": core.fpu.stats.stall_mem,
-                },
-            ))
+            core_stats.append(CoreStats.collect(
+                core.hart_id, finish - start_cycle, core.int_retired,
+                core.fpu.stats, core.stalls))
         return self._result(start_cycle, core_stats)
 
     def _result(self, start_cycle: int, core_stats: List[CoreStats]) -> ClusterResult:

@@ -22,8 +22,7 @@ original interpreter loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
@@ -33,6 +32,7 @@ from repro.snitch.icache import InstructionCache
 from repro.snitch.params import TimingParams
 from repro.snitch.ssr import SsrUnit
 from repro.snitch.tcdm import TCDM
+from repro.snitch.trace import CoreStallCounters
 
 
 class SimulationError(RuntimeError):
@@ -44,36 +44,6 @@ _U32 = (1 << 32) - 1
 
 def _to_unsigned(value: int) -> int:
     return value & _U32
-
-
-@dataclass
-class CoreStallCounters:
-    """Breakdown of integer-pipeline stall cycles by cause."""
-
-    offload_full: int = 0
-    ssr_launch: int = 0
-    barrier: int = 0
-    icache: int = 0
-    branch: int = 0
-    lsu_conflict: int = 0
-    div: int = 0
-
-    def total(self) -> int:
-        """Total stall cycles attributed to the integer pipeline."""
-        return (self.offload_full + self.ssr_launch + self.barrier + self.icache
-                + self.branch + self.lsu_conflict + self.div)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Return the counters as a plain dictionary."""
-        return {
-            "offload_full": self.offload_full,
-            "ssr_launch": self.ssr_launch,
-            "barrier": self.barrier,
-            "icache": self.icache,
-            "branch": self.branch,
-            "lsu_conflict": self.lsu_conflict,
-            "div": self.div,
-        }
 
 
 class SnitchCore:
@@ -107,11 +77,6 @@ class SnitchCore:
         self._resident: List[bool] = [False] * self._plen
 
     # -- public helpers ---------------------------------------------------------
-
-    @property
-    def instructions_retired(self) -> int:
-        """Total instructions retired: integer-side plus FPU-issued."""
-        return self.int_retired + self.fpu.stats.issued_total
 
     def set_reg(self, name_or_idx, value: int) -> None:
         """Set an integer register before simulation (used by tests)."""

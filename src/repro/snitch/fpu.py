@@ -52,6 +52,7 @@ from repro.isa.registers import FpRegisterFile
 from repro.snitch.params import TimingParams
 from repro.snitch.ssr import SsrUnit
 from repro.snitch.tcdm import TCDM
+from repro.snitch.trace import FpuStats
 
 
 class FpuError(RuntimeError):
@@ -78,36 +79,6 @@ class FrepBlock:
 #: Queue entries: an (instruction, dispatch address, issue closure) triple or
 #: a whole FREP block.
 _QueueItem = Union[Tuple[Instruction, Optional[int], Callable], FrepBlock]
-
-
-class FpuStats:
-    """Issue and stall counters of one FPU sequencer.
-
-    ``issued_total`` is derived: every issue is exactly one of compute
-    (``fadd``/``fmul``/FMA/...), memory (``fld``/``fsd``) or move
-    (``fsgnj*``/``fmv``/``fabs``/``fcvt``), so the hot paths each maintain a
-    single counter.
-    """
-
-    __slots__ = ("issued_compute", "issued_mem", "issued_move", "flops",
-                 "stall_ssr_read", "stall_ssr_write", "stall_raw",
-                 "stall_mem", "idle_empty")
-
-    def __init__(self) -> None:
-        self.issued_compute = 0
-        self.issued_mem = 0
-        self.issued_move = 0
-        self.flops = 0
-        self.stall_ssr_read = 0
-        self.stall_ssr_write = 0
-        self.stall_raw = 0
-        self.stall_mem = 0
-        self.idle_empty = 0
-
-    @property
-    def issued_total(self) -> int:
-        """Total FP instructions issued."""
-        return self.issued_compute + self.issued_mem + self.issued_move
 
 
 _unpack_f64 = struct.Struct("<d").unpack_from

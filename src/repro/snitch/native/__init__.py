@@ -1079,6 +1079,12 @@ def execute(cluster, max_cycles: int, wait_for_dma: bool = True,
                             hart=cl.err_hart, pc=cl.err_pc, addr=cl.err_addr)
 
 
+def _copy_counters(target, source, names) -> None:
+    """Copy the counters ``names`` between a record and a counter object."""
+    for name in names:
+        setattr(target, name, getattr(source, name))
+
+
 def _bytes_view(buffer) -> ctypes.Array:
     """A ``uint8_t`` array sharing ``buffer``'s memory (no copy)."""
     return (ctypes.c_uint8 * len(buffer)).from_buffer(buffer)
@@ -1087,32 +1093,20 @@ def _bytes_view(buffer) -> ctypes.Array:
 def _pack_core(co, core, line_insts: int, lines) -> bytearray:
     """Fill one NatCore record from a SnitchCore; returns the residency
     buffer the engine updates in place."""
+    # Imported on use, here and below, so that loading the engine alone
+    # does not import the result types.
+    from repro.snitch.trace import FPU_COUNTERS, STALL_COUNTERS
+
     co.pc = core.pc
     co.stall_until = core._stall_until
     co.finished = core.finished
     co.int_retired = core.int_retired
-    stalls = core.stalls
-    co.st_offload_full = stalls.offload_full
-    co.st_ssr_launch = stalls.ssr_launch
-    co.st_barrier = stalls.barrier
-    co.st_icache = stalls.icache
-    co.st_branch = stalls.branch
-    co.st_lsu_conflict = stalls.lsu_conflict
-    co.st_div = stalls.div
+    _copy_counters(co, core.stalls, STALL_COUNTERS)
+    _copy_counters(co, core.fpu.stats, FPU_COUNTERS)
     co.iregs[:] = core.int_regs._regs
     co.fregs[:] = core.fp_regs._regs
     co.scoreboard[:] = core.fpu._scoreboard
     co.cur.kind = -1
-    fstats = core.fpu.stats
-    co.issued_compute = fstats.issued_compute
-    co.issued_mem = fstats.issued_mem
-    co.issued_move = fstats.issued_move
-    co.flops = fstats.flops
-    co.stall_ssr_read = fstats.stall_ssr_read
-    co.stall_ssr_write = fstats.stall_ssr_write
-    co.stall_raw = fstats.stall_raw
-    co.stall_mem = fstats.stall_mem
-    co.idle_empty = fstats.idle_empty
     co.ssr_enabled = core.ssr.enabled
     co.any_active = core.ssr._any_active
     # Queue, FIFO and in-flight counters start at zero: eligibility
@@ -1223,36 +1217,15 @@ def core_stats(records, start_cycle: int, end_cycle: int) -> list:
     what ``SnitchCluster`` collects from cores after a Python-engine run."""
     from repro.snitch.trace import CoreStats
 
-    stats = []
-    for co in records[0]:
-        compute = co.issued_compute
-        stats.append(CoreStats(
-            hart_id=co.hart_id,
-            cycles=(co.finish_cycle if co.finished else end_cycle) - start_cycle,
-            int_retired=co.int_retired,
-            fp_issued=compute + co.issued_mem + co.issued_move,
-            fp_compute=compute,
-            flops=co.flops,
-            stalls={
-                "offload_full": co.st_offload_full,
-                "ssr_launch": co.st_ssr_launch,
-                "barrier": co.st_barrier,
-                "icache": co.st_icache,
-                "branch": co.st_branch,
-                "lsu_conflict": co.st_lsu_conflict,
-                "div": co.st_div,
-            },
-            fpu_stalls={
-                "ssr_read": co.stall_ssr_read,
-                "ssr_write": co.stall_ssr_write,
-                "raw": co.stall_raw,
-                "mem": co.stall_mem,
-            },
-        ))
-    return stats
+    return [CoreStats.collect(
+        co.hart_id,
+        (co.finish_cycle if co.finished else end_cycle) - start_cycle,
+        co.int_retired, co, co) for co in records[0]]
 
 
 def _unpack_core(co, core, resident: bytearray) -> None:
+    from repro.snitch.trace import FPU_COUNTERS, STALL_COUNTERS
+
     core.pc = co.pc
     core._stall_until = co.stall_until
     if co.finished and not core.finished:
@@ -1260,29 +1233,13 @@ def _unpack_core(co, core, resident: bytearray) -> None:
         core.finish_cycle = co.finish_cycle
     core.finished = bool(co.finished)
     core.int_retired = co.int_retired
-    stalls = core.stalls
-    stalls.offload_full = co.st_offload_full
-    stalls.ssr_launch = co.st_ssr_launch
-    stalls.barrier = co.st_barrier
-    stalls.icache = co.st_icache
-    stalls.branch = co.st_branch
-    stalls.lsu_conflict = co.st_lsu_conflict
-    stalls.div = co.st_div
+    _copy_counters(core.stalls, co, STALL_COUNTERS)
     core.int_regs._regs = co.iregs[:]
     core.fp_regs._regs = co.fregs[:]
     fpu = core.fpu
     fpu._scoreboard = co.scoreboard[:]
-    fstats = fpu.stats
-    fstats.issued_compute = co.issued_compute
-    fstats.issued_mem = co.issued_mem
-    fstats.issued_move = co.issued_move
-    fstats.flops = co.flops
-    fstats.stall_ssr_read = co.stall_ssr_read
-    fstats.stall_ssr_write = co.stall_ssr_write
-    fstats.stall_raw = co.stall_raw
-    fstats.stall_mem = co.stall_mem
-    fstats.idle_empty = co.idle_empty
-    fpu._flushed_mem = fstats.issued_mem
+    _copy_counters(fpu.stats, co, FPU_COUNTERS)
+    fpu._flushed_mem = co.issued_mem
     _unpack_fpu_queue(co, core)
     ssr = core.ssr
     ssr.enabled = bool(co.ssr_enabled)

@@ -66,8 +66,9 @@ typedef struct {
 typedef struct {
     int64_t pc, plen, stall_until, finished, finish_cycle;
     int64_t int_retired;
-    int64_t st_offload_full, st_ssr_launch, st_barrier, st_icache;
-    int64_t st_branch, st_lsu_conflict, st_div;
+    /* integer-pipeline stall counters: CoreStallCounters' fields */
+    int64_t offload_full, ssr_launch, barrier, icache;
+    int64_t branch, lsu_conflict, div;
     int64_t iregs[32];
     double  fregs[32];
     int64_t scoreboard[32];
@@ -76,6 +77,7 @@ typedef struct {
     int64_t q_head, q_len;
     NatQItem cur;
     int64_t blk_inst, blk_rep;
+    /* FPU counters: FpuStats' slots */
     int64_t issued_compute, issued_mem, issued_move, flops;
     int64_t stall_ssr_read, stall_ssr_write, stall_raw, stall_mem, idle_empty;
     /* SSR unit */
@@ -876,7 +878,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
         cl->tcdm_total += 1;
         if (*busy & (1ull << bank)) {
             cl->tcdm_conflicts += 1;
-            co->st_lsu_conflict += 1;
+            co->lsu_conflict += 1;
             return;
         }
         *busy |= 1ull << bank;
@@ -938,7 +940,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
         if (taken) {
             co->pc = I[C_TGT];
             if (cl->branch_penalty) {
-                co->st_branch += cl->branch_penalty;
+                co->branch += cl->branch_penalty;
                 co->stall_until = cycle + 1 + cl->branch_penalty;
             }
         } else {
@@ -960,7 +962,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
             co->pc = (regs[rs1] + imm) & U32;
         }
         if (cl->branch_penalty) {
-            co->st_branch += cl->branch_penalty;
+            co->branch += cl->branch_penalty;
             co->stall_until = cycle + 1 + cl->branch_penalty;
         }
         return;
@@ -980,7 +982,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
         int is_div = (int)(I[C_A0] & 1);
         int is_unsigned = (int)(I[C_A0] & 2);
         int64_t a = regs[rs1], b = regs[rs2], result;
-        co->st_div += cl->div_latency;
+        co->div += cl->div_latency;
         co->stall_until = cycle + 1 + cl->div_latency;
         if (b == 0) {
             result = is_div ? -1 : a;
@@ -1003,7 +1005,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
     case OP_FREP: {
         int64_t reps;
         if (co->q_len >= cl->offload_depth) {
-            co->st_offload_full += 1;
+            co->offload_full += 1;
             return;
         }
         reps = regs[rs1];
@@ -1028,7 +1030,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
         int64_t kind = I[C_A0], addr;
         NatQItem *item;
         if (co->q_len >= cl->offload_depth) {
-            co->st_offload_full += 1;
+            co->offload_full += 1;
             return;
         }
         if (kind == FP_FLD || kind == FP_FSD)
@@ -1058,7 +1060,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
         return;
     case OP_SSR_BARRIER:
         if (co->cur.kind >= 0 || co->q_len || !writes_drained(cl, co)) {
-            co->st_barrier += 1;
+            co->barrier += 1;
             return;
         }
         co->int_retired += 1;
@@ -1097,7 +1099,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
             break;
         case OP_LAUNCH:
             if (m->remaining > 0 || m->affine_remaining > 0 || m->fifo_len) {
-                co->st_ssr_launch += 1;
+                co->ssr_launch += 1;
                 return;
             }
             if (!m->cfg_indirect) {
@@ -1123,7 +1125,7 @@ static void int_execute(NatCluster *cl, NatCore *co, int64_t pc,
                        && (m->affine_remaining > 0 || m->fifo_len))
                     : ((m->remaining > 0 || m->affine_remaining > 0)
                        || m->fifo_len)) {
-                co->st_ssr_launch += 1;
+                co->ssr_launch += 1;
                 return;
             }
             fold_progress(m);
@@ -1172,7 +1174,7 @@ static void int_step(NatCluster *cl, NatCore *co, int64_t cycle,
                     co->hart_id * (1ll << 48) + line;
             else
                 nat_fail(cl, NAT_BOUNDS, co->hart_id, pc, 0);
-            co->st_icache += cl->miss_penalty;
+            co->icache += cl->miss_penalty;
             co->stall_until = cycle + cl->miss_penalty;
             return;
         }

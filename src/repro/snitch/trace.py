@@ -1,9 +1,78 @@
-"""Performance counters and result containers for cluster simulations."""
+"""Performance counters and result containers for cluster simulations.
+
+Each simulated core's counters are declared once, here: :class:`FpuStats`
+and :class:`CoreStallCounters`.  The native engine's ``NatCore`` record
+(``native/engine.c``) carries fields of the same names, so packing and
+unpacking a record and :meth:`CoreStats.collect` loop over the declared
+names for both engines: a new counter is one slot or field here and one
+field in ``NatCore``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Dict, List, Tuple
+
+
+class FpuStats:
+    """Issue and stall counters of one FPU sequencer.
+
+    Every slot but ``flops`` is a cycle class: each cycle on which a live
+    core's FPU issue slot runs charges exactly one of the three issue
+    classes (compute: ``fadd``/``fmul``/FMA/...; memory: ``fld``/``fsd``;
+    move: ``fsgnj*``/``fmv``/``fabs``/``fcvt``), one of the four stall
+    classes, or ``idle_empty``.  The classes of a finished core sum to its
+    ``CoreStats.cycles`` plus one: the FPU slot also runs on the finish
+    cycle, ahead of the integer slot that marks the core finished, while
+    ``cycles`` is ``finish_cycle - start``.
+    """
+
+    __slots__ = ("issued_compute", "issued_mem", "issued_move", "flops",
+                 "stall_ssr_read", "stall_ssr_write", "stall_raw",
+                 "stall_mem", "idle_empty")
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    @property
+    def issued_total(self) -> int:
+        """Total FP instructions issued."""
+        return self.issued_compute + self.issued_mem + self.issued_move
+
+
+@dataclass
+class CoreStallCounters:
+    """Breakdown of integer-pipeline stall cycles by cause."""
+
+    offload_full: int = 0
+    ssr_launch: int = 0
+    barrier: int = 0
+    icache: int = 0
+    branch: int = 0
+    lsu_conflict: int = 0
+    div: int = 0
+
+    def total(self) -> int:
+        """Total stall cycles attributed to the integer pipeline."""
+        return sum(_stall_values(self))
+
+    def as_dict(self) -> Dict[str, int]:
+        """Return the counters as a plain dictionary."""
+        return dict(zip(STALL_COUNTERS, _stall_values(self)))
+
+
+#: Every counter of one core, by name: ``NatCore`` has a field of each name.
+FPU_COUNTERS = FpuStats.__slots__
+STALL_COUNTERS = tuple(f.name for f in fields(CoreStallCounters))
+
+_stall_values = attrgetter(*STALL_COUNTERS)
+_FPU_STALLS = tuple(name for name in FPU_COUNTERS
+                    if name.startswith("stall_"))
+_fpu_stall_values = attrgetter(*_FPU_STALLS)
+#: ``CoreStats.fpu_stalls`` keys: the stall classes without their prefix.
+_FPU_STALL_KEYS = tuple(name[len("stall_"):] for name in _FPU_STALLS)
 
 
 @dataclass(frozen=True)
@@ -45,6 +114,19 @@ class CoreStats:
     stalls: Dict[str, int] = field(default_factory=dict)
     fpu_stalls: Dict[str, int] = field(default_factory=dict)
 
+    @classmethod
+    def collect(cls, hart_id: int, cycles: int, int_retired: int, fpu,
+                stalls) -> "CoreStats":
+        """One core's statistics from its counters: ``fpu`` reads like
+        :class:`FpuStats` and ``stalls`` like :class:`CoreStallCounters`
+        (a Python core's own, or one native ``NatCore`` record for both)."""
+        compute = fpu.issued_compute
+        # Positional: one run builds a record per core on its timed path.
+        return cls(hart_id, cycles, int_retired,
+                   compute + fpu.issued_mem + fpu.issued_move, compute,
+                   fpu.flops, dict(zip(STALL_COUNTERS, _stall_values(stalls))),
+                   dict(zip(_FPU_STALL_KEYS, _fpu_stall_values(fpu))))
+
     @property
     def instructions(self) -> int:
         """Total retired instructions (integer side plus FPU issues)."""
@@ -84,11 +166,6 @@ class ClusterResult:
     def total_flops(self) -> int:
         """Total FLOPs executed by all cores."""
         return sum(core.flops for core in self.cores)
-
-    @property
-    def total_instructions(self) -> int:
-        """Total retired instructions across all cores."""
-        return sum(core.instructions for core in self.cores)
 
     @property
     def mean_fpu_util(self) -> float:
@@ -137,11 +214,6 @@ class ClusterResult:
             return 0.0
         return max(per_core) / mean - 1.0
 
-    @property
-    def core_cycle_distribution(self) -> List[int]:
-        """Per-core completion cycles, used by the scaleout imbalance model."""
-        return [core.cycles for core in self.cores]
-
     def activity(self) -> ActivityCounters:
         """Summarize the run into serializable aggregate activity counters."""
         return ActivityCounters(
@@ -154,13 +226,6 @@ class ClusterResult:
             dma_bytes=self.dma_bytes,
             core_cycles=tuple(core.cycles for core in self.cores),
         )
-
-    @property
-    def dma_utilization(self) -> float:
-        """Achieved fraction of the DMA engine's peak bandwidth while busy."""
-        if self.dma_busy_cycles == 0:
-            return 0.0
-        return self.dma_bytes / (self.dma_busy_cycles * 64.0)
 
     def as_dict(self) -> Dict[str, float]:
         """Flatten the headline metrics into a dictionary (for reports)."""

@@ -144,6 +144,7 @@ class TestServe:
             assert proc.poll() is None
         finally:
             idle.close()
+            client.close()
             stop(proc)
 
     def test_timeout_degrades_the_hung_job(self, tmp_path):
@@ -162,6 +163,7 @@ class TestServe:
             later = client.submit({"jobs": [dict(OTHER, seed=3)]})
             assert client.wait(later["sweep"], timeout=60)["state"] == "done"
         finally:
+            client.close()
             stop(proc)
 
     def test_sigint_does_not_wait_for_a_hung_job(self, tmp_path):
@@ -174,6 +176,7 @@ class TestServe:
             time.sleep(0.5)  # inside the pool worker's hang
             assert exit_seconds_after_sigint(proc) < 5.0
         finally:
+            client.close()
             stop(proc)
 
 

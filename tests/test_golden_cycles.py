@@ -11,6 +11,7 @@ exactly — the fast engine is an optimization, not a model change.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -18,6 +19,9 @@ import pytest
 
 from repro import run_kernel
 from repro.core.kernels import TABLE1_KERNELS
+from repro.snitch import native
+from repro.snitch.cluster import SnitchCluster
+from repro.snitch.trace import FPU_COUNTERS
 
 GOLDEN_PATH = Path(__file__).parent / "golden_cycles.json"
 
@@ -101,3 +105,41 @@ def test_bit_identical_on_registered_machines(machine, name, variant):
     expected = GOLDEN[f"{machine}:{name}/{variant}"]
     assert got["cycles"] == expected["cycles"], "total cycle count drifted"
     assert got == expected
+
+
+@pytest.mark.parametrize("engine", ["native", "python"])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_fpu_cycle_classes_cover_every_core_cycle(monkeypatch, case, engine):
+    """Every ``FpuStats`` slot but ``flops`` is a cycle class, and on every
+    core the classes sum to ``CoreStats.cycles`` plus one.  The extra cycle
+    is the finish cycle: the FPU issue slot runs on it, and counts
+    ``idle_empty``, before the integer slot marks the core finished, while
+    ``cycles`` is ``finish_cycle - start``."""
+    if engine == "native" and not native.available():
+        pytest.skip(f"native engine unavailable: {native.disabled_reason()}")
+    machine, _, kernel_variant = case.rpartition(":")
+    name, variant = kernel_variant.split("/")
+    clusters = []
+    real_run = SnitchCluster.run
+
+    def keeping_run(cluster, *args, **kwargs):
+        clusters.append(cluster)
+        return real_run(cluster, *args, **kwargs)
+
+    monkeypatch.setattr(SnitchCluster, "run", keeping_run)
+    with (native.forced_python() if engine == "python"
+          else contextlib.nullcontext()):
+        result = run_kernel(name, variant=variant, machine=machine or None)
+    if not machine:
+        # The presets' runs may take the Python engine either way: on
+        # snitch-16, box3d1r needs the icache LRU model.
+        assert result.engine == engine
+    (cluster,) = clusters
+    classes = [counter for counter in FPU_COUNTERS if counter != "flops"]
+    # A native run leaves the counters in the engine's records; reading
+    # ``cluster.cores`` builds the cores from them.
+    for stats, core in zip(result.cluster.cores, cluster.cores):
+        fpu = core.fpu.stats
+        counted = {counter: getattr(fpu, counter) for counter in classes}
+        assert sum(counted.values()) == stats.cycles + 1, \
+            (stats.hart_id, stats.cycles, counted)

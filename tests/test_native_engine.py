@@ -2,9 +2,10 @@
 
 The golden-cycle suite already pins the default engine (native, when a C
 compiler is available) against recorded numbers; these tests additionally
-diff the *full observable state* — registers, memory, stall attribution,
-stream statistics, icache bookkeeping — between the two engines on the same
-workloads, and exercise the fallback / error paths.
+diff the *full observable state* (the fuzz harness's ``snapshot``:
+registers, memory, stall attribution, stream statistics, icache and DMA
+bookkeeping) between the two engines on the same workloads, and exercise
+the fallback / error paths.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from repro.core.kernels import TABLE1_KERNELS, get_kernel
 from repro.core.layout import build_layout
+from repro.fuzz.harness import snapshot
 from repro.isa.assembler import assemble
 from repro.machine import resolve_machine
 from repro.runner import _generate_programs_cached, generate_programs, run_kernel
@@ -23,40 +25,6 @@ from repro.snitch.params import TimingParams
 pytestmark = pytest.mark.skipif(
     not native.available(),
     reason=f"native engine unavailable: {native.disabled_reason()}")
-
-
-def _cluster_state(cluster):
-    """Every piece of state the Python engine leaves behind after a run."""
-    state = {
-        "cycle": cluster.cycle,
-        "tcdm": (cluster.tcdm.cycles, cluster.tcdm.total_requests,
-                 cluster.tcdm.granted_requests, cluster.tcdm.conflicts),
-        "icache": (cluster.icache.hits, cluster.icache.misses,
-                   tuple(cluster.icache._lines.keys())),
-        "mem": bytes(cluster.tcdm._data),
-    }
-    for core in cluster.cores:
-        stats = core.fpu.stats
-        state[core.hart_id] = {
-            "pc": core.pc,
-            "finished": core.finished,
-            "finish_cycle": core.finish_cycle,
-            "int_retired": core.int_retired,
-            "stalls": core.stalls.as_dict(),
-            "iregs": tuple(core.int_regs._regs),
-            "fregs": tuple(core.fp_regs._regs),
-            "scoreboard": tuple(core.fpu._scoreboard),
-            "fpu": (stats.issued_compute, stats.issued_mem, stats.issued_move,
-                    stats.flops, stats.stall_ssr_read, stats.stall_ssr_write,
-                    stats.stall_raw, stats.stall_mem, stats.idle_empty),
-            "ssr": core.ssr.enabled,
-            "movers": tuple(
-                (m.cfg.write, m.cfg.indirect, m.elements_streamed,
-                 m.data_requests, m.index_requests, m.denied_requests,
-                 tuple(m._fifo))
-                for m in core.ssr.movers),
-        }
-    return state
 
 
 def _run_both(source_per_core, setup=None, params=None, max_cycles=100_000):
@@ -74,7 +42,7 @@ def _run_both(source_per_core, setup=None, params=None, max_cycles=100_000):
                 cluster.run(max_cycles=max_cycles)
         else:
             cluster.run(max_cycles=max_cycles)
-        states.append(_cluster_state(cluster))
+        states.append(snapshot(cluster))
     return states
 
 
@@ -316,13 +284,13 @@ class TestNativeBehaviour:
                 else:
                     cluster.run(max_cycles=20)
             assert native.run_stats["native"] == native_runs + (not force_python)
-            states.append(_cluster_state(cluster))
+            states.append(snapshot(cluster))
         assert states[1] == states[0]
         assert states[0]["cycle"] == 21
         if penalty >= 21:
             for hart in (0, 1):
-                assert states[0][hart]["int_retired"] == 0
-                assert states[0][hart]["fpu"][-1] == 21  # idle_empty
+                assert states[0][f"core{hart}"]["int_retired"] == 0
+                assert states[0][f"core{hart}"]["fpu"]["idle_empty"] == 21
 
     def test_icache_pressure_falls_back_to_python(self, monkeypatch):
         # A cluster whose programs cannot all stay resident needs the LRU
@@ -476,7 +444,7 @@ class TestUntouchedCores:
             except ClusterError:
                 assert max_cycles == 400
             assert cluster.engine == ("python" if force_python else "native")
-            states.append(_cluster_state(cluster))
+            states.append(snapshot(cluster))
         assert states[0] == states[1]
 
     def test_template_records_match_pack_core(self):

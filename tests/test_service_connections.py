@@ -259,6 +259,7 @@ class TestShutdownWithIdleConnections:
                 silent.close()
                 other.close()
         finally:
+            client.close()
             output = stop(proc)
         assert "Task was destroyed" not in output
         assert "Traceback" not in output, output

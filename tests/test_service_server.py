@@ -199,14 +199,18 @@ class TestAuth:
     def test_wrong_or_missing_key_is_401_healthz_exempt(self):
         with running_server(token="sekrit") as (service, client):
             anonymous = ServiceClient(service.url, token="")
-            assert anonymous.healthz()["ok"] is True  # exempt
-            with pytest.raises(ServiceError) as err:
-                anonymous.stats()
-            assert err.value.status == 401
             wrong = ServiceClient(service.url, token="not-it")
-            with pytest.raises(ServiceError) as err:
-                wrong.submit({"jobs": [JOB_WIRE]})
-            assert err.value.status == 401
+            try:
+                assert anonymous.healthz()["ok"] is True  # exempt
+                with pytest.raises(ServiceError) as err:
+                    anonymous.stats()
+                assert err.value.status == 401
+                with pytest.raises(ServiceError) as err:
+                    wrong.submit({"jobs": [JOB_WIRE]})
+                assert err.value.status == 401
+            finally:
+                anonymous.close()
+                wrong.close()
 
     def test_bearer_and_x_api_key_both_accepted(self):
         with running_server(token="sekrit") as (service, client):
@@ -362,6 +366,7 @@ class TestStreamReconnect:
                     for event in client.events(receipt["sweep"])]
             assert seqs == full
         finally:
+            client.close()
             release.set()
             asyncio.run_coroutine_threadsafe(
                 state["service"].close(), loop).result(30)
