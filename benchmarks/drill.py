@@ -12,12 +12,14 @@ on an ephemeral port (``--port 0``):
    degrade only their own job; the daemon exits within 10 s of SIGINT;
    after a restart, a resubmit is served purely from the cache.
 3. **fabric:** one ``repro serve --fabric`` coordinator and two ``repro
-   worker`` processes.  Metrics move between two scrapes; a worker killed
-   mid-lease has both its leases requeued uncharged; the merged results are
-   bit-identical to serial runs; the coordinator answers more HTTP requests
-   than it accepts connections and maps neither NumPy nor the native
-   engine; in the ``repro trace`` export every ``attempt`` span has a
-   ``submit`` parent.
+   worker`` processes: w1 runs on the coordinator's cache root, as on a
+   single box, and w2 on its own.  Metrics move between two scrapes; the
+   coordinator writes no store entry that w1 has already written; a worker
+   killed mid-lease has both its leases requeued uncharged; the merged
+   results are bit-identical to serial runs; the coordinator answers more
+   HTTP requests than it accepts connections and maps neither NumPy nor
+   the native engine; in the ``repro trace`` export every ``attempt`` span
+   has a ``submit`` parent.
 
 Every process the drill starts is ended and its log printed, also when an
 assertion fails.  The drill takes no options.
@@ -113,10 +115,12 @@ class Drill:
             time.sleep(0.1)
         return proc, banner[1]
 
-    def worker(self, name: str, url: str, **env: str) -> subprocess.Popen:
+    def worker(self, name: str, url: str, cache: str = "",
+               **env: str) -> subprocess.Popen:
+        """Start ``repro worker`` on ``cache`` (default: its own)."""
         return self.start(name, "-m", "repro.cli", "worker", "--url", url,
                           "--id", name, "--poll", "0.3", "--exit-on-idle",
-                          "60", cache=f"{name}-cache", **env)
+                          "60", cache=cache or f"{name}-cache", **env)
 
     @staticmethod
     def interrupt(proc: subprocess.Popen) -> None:
@@ -234,7 +238,9 @@ def fabric_phase(drill: Drill) -> None:
                   for w in client.fabric()["workers"]["detail"]):
         assert w2.poll() is None, f"w2 exited {w2.returncode}"
         time.sleep(0.2)
-    w1 = drill.worker("w1", url)
+    # w1 shares the coordinator's cache root, as one box started in one
+    # directory does.
+    w1 = drill.worker("w1", url, cache="coordinator-cache")
     time.sleep(1.0)
     w2.kill()
     assert w2.wait() == -signal.SIGKILL, w2.returncode
@@ -266,6 +272,11 @@ def fabric_phase(drill: Drill) -> None:
                  "repro_fabric_completed_total"):
         moved = scrape(after, name) - scrape(before, name)
         assert moved >= len(JOBS), (name, moved)
+    # w1 ran every job and wrote each entry; the coordinator's save of
+    # each upload found the same bytes there and wrote nothing.
+    unchanged = (scrape(after, "repro_store_unchanged_total")
+                 - scrape(before, "repro_store_unchanged_total"))
+    assert unchanged == len(JOBS), unchanged
 
     # One trace across the coordinator and the worker.
     trace = drill.root / "trace.json"

@@ -404,8 +404,9 @@ def _cmd_fuzz(args) -> int:
         return 2
 
     def progress(done, total):
+        # Standard error, so `--json` leaves standard output parseable.
         if not args.quiet and (done % 50 == 0 or done == total):
-            print(f"[{done}/{total}] cases checked")
+            print(f"[{done}/{total}] cases checked", file=sys.stderr)
 
     report = run_fuzz(budget=args.budget, seed=args.seed,
                       shrink=not args.no_shrink,

@@ -27,7 +27,10 @@ network), never a verdict on the job:
 Completion is publish-to-store: an uploaded result is saved to the
 coordinator's :class:`~repro.sweep.store.ResultStore` before the job is
 marked done, so a coordinator restart plus client resubmit is a pure cache
-hit.  Results are content-addressed and deterministic, which makes *stale*
+hit.  A result travels as its store text
+(:func:`~repro.sweep.store.encode_result`), which the coordinator checks
+and then keeps as it is, for the store and the job: it never encodes a
+result.  Results are content-addressed and deterministic, which makes *stale*
 completions (the lease expired first) harmless — the result is still
 published, and if the job is still waiting for a re-grant it is adopted
 directly instead of being simulated again.
@@ -43,16 +46,16 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import secrets
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Set
 
 from repro import obs
 from repro.result import KernelRunResult
 from repro.service.queue import QUEUED, RUNNING, JobQueue
 from repro.service.spec import job_to_wire
-from repro.sweep.store import encode_result
 
 #: Fabric metrics.  A fabric-executed job moves the same ``repro_queue_*``
 #: executed/failed/latency series a locally executed one does: the
@@ -77,6 +80,11 @@ _OBS_LIVE_WORKERS = obs.gauge("repro_fabric_live_workers",
                               "Workers holding leases or seen recently")
 _OBS_LEASES_IN_FLIGHT = obs.gauge("repro_fabric_leases_in_flight",
                                   "Leases currently held by workers")
+
+#: The keys :meth:`KernelRunResult.to_json_dict` writes: every field but
+#: the in-memory ``cluster``.
+_RESULT_KEYS = frozenset(f.name for f in fields(KernelRunResult)
+                         if f.name != "cluster")
 
 #: Default lease TTL in seconds: long enough that a heartbeat every TTL/3
 #: survives scheduling jitter, short enough that a dead node's work is back
@@ -322,8 +330,14 @@ class FabricCoordinator:
         return {"ok": True, "stale": False}
 
     def _parse_result(self, payload: Dict[str, object]) -> KernelRunResult:
+        """The uploaded result text, checked: it must parse into the keys
+        ``to_json_dict`` writes, and ``from_json_dict`` must accept it."""
         try:
-            return KernelRunResult.from_json_dict(payload["result"])
+            raw = json.loads(payload.get("result"))  # a dict: TypeError
+            unknown = raw.keys() - _RESULT_KEYS
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)}")
+            return KernelRunResult.from_json_dict(raw)
         except Exception as exc:  # noqa: BLE001 - wire data, anything goes
             raise FabricError(f"completion carries an invalid result "
                               f"payload: {exc}") from None
@@ -349,7 +363,7 @@ class FabricCoordinator:
             elif self.queue.store is not None:
                 # Content-addressed and deterministic: publishing a stale
                 # result is always safe, and future submits hit the store.
-                self.queue.store.save(entry.job, result)
+                self.queue.store.save(entry.job, result, payload["result"])
         return {"ok": True, "stale": True, "lease": lease_id}
 
     def _stitch_spans(self, payload: Dict[str, object]) -> None:
@@ -368,9 +382,9 @@ class FabricCoordinator:
                  payload: Dict[str, object]) -> None:
         """Publish to the store, then mark done and fan out (crash-safe).
 
-        The result is encoded once, for both the store entry and the queue.
+        The store entry and the queue keep the uploaded text as it is.
         """
-        text = encode_result(result)
+        text = payload["result"]
         if self.queue.store is not None:
             self.queue.store.save(entry.job, result, text)
         self.queue._conclude(entry, result=result, text=text,

@@ -28,7 +28,10 @@ leases it is currently heartbeating:
   ResultStore` is consulted before simulating and written after; a local
   hit uploads immediately (result upload = publish to the coordinator's
   store).  Content-hashed jobs make this safe: the same hash is the same
-  simulation everywhere.
+  simulation everywhere.  Each result is encoded once, with
+  :func:`~repro.sweep.store.encode_result`: the same text goes into the
+  local store and, as the completion's ``result`` string, to the
+  coordinator, which stores it as it is.
 * **Heartbeats** — one background thread renews every held lease —
   running, waiting or awaiting upload — each ``ttl / 3`` seconds, from its
   grant until its upload lands; a lease response that changes the TTL
@@ -79,7 +82,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.spec import SpecError, job_from_wire
 from repro.sweep import faults
 from repro.sweep.job import SweepJob
-from repro.sweep.store import ResultStore
+from repro.sweep.store import ResultStore, encode_result
 from repro.sweep.supervisor import (RetryPolicy, SingleJobOutcome,
                                     SupervisedPool)
 
@@ -278,7 +281,7 @@ class FabricWorker:
                 _OBS_LOCAL_HITS.inc()
                 self._hand_over(lease_id, {
                     "ok": True, "hash": job.content_hash(),
-                    "result": cached.to_json_dict(), "attempts": 0,
+                    "result": encode_result(cached), "attempts": 0,
                     "degraded": False, "cache_hit": True})
                 return
             if faults.claim_node_fault("worker_kill", job) is not None:
@@ -313,7 +316,8 @@ class FabricWorker:
         self._uploads.put((lease_id, payload))
 
     def _payload(self, job: SweepJob, outcome: SingleJobOutcome) -> dict:
-        """The upload for one pool outcome (a result is cached locally)."""
+        """The upload for one pool outcome (a result is cached locally,
+        and its store text is uploaded)."""
         job_hash = job.content_hash()
         if outcome.failure is not None:
             self.failures += 1
@@ -322,10 +326,10 @@ class FabricWorker:
                                     worker=self.worker_id)}
         self.executed += 1
         _OBS_EXECUTED.inc()
+        text = encode_result(outcome.result)
         if self.store is not None:
-            self.store.save(job, outcome.result)  # local cache tier
-        return {"ok": True, "hash": job_hash,
-                "result": outcome.result.to_json_dict(),
+            self.store.save(job, outcome.result, text)  # local cache tier
+        return {"ok": True, "hash": job_hash, "result": text,
                 "attempts": outcome.attempts, "degraded": outcome.degraded,
                 "cache_hit": False}
 

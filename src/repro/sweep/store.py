@@ -74,6 +74,9 @@ _OBS_MISSES = obs.counter("repro_store_misses_total",
                           "Result-store loads that missed")
 _OBS_QUARANTINED = obs.counter("repro_store_quarantined_total",
                                "Corrupt result-store entries set aside")
+_OBS_UNCHANGED = obs.counter("repro_store_unchanged_total",
+                             "Result-store saves that found the entry "
+                             "already holding the same bytes")
 
 
 def engine_fingerprint() -> str:
@@ -99,10 +102,12 @@ class ResultStore:
         #: Corrupt entries set aside by :meth:`load` over this store's
         #: lifetime (each renamed once to ``<name>.json.corrupt``).
         self.quarantined = 0
-        #: Load outcomes over this store's lifetime (also mirrored into the
+        #: Load outcomes over this store's lifetime, and saves that found
+        #: the entry already holding their bytes (also mirrored into the
         #: process-wide ``repro_store_*`` metrics).
         self.hits = 0
         self.misses = 0
+        self.unchanged = 0
         #: Monotonic discriminator for temp-file names: with thread pools a
         #: thread id can be reused the moment a thread exits, so pid+tid
         #: alone is not collision-proof across a store's lifetime.
@@ -169,7 +174,7 @@ class ResultStore:
         """
         path = self.path_for(job)
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(path.read_bytes())
         except FileNotFoundError:
             return self._miss()
         except (OSError, ValueError):
@@ -211,6 +216,12 @@ class ResultStore:
         ``text`` is the result's :func:`encode_result`, for a caller that
         keeps it too: the result is then not encoded again.
 
+        An entry that already holds exactly these bytes is left alone and
+        counted in :attr:`unchanged`: a fabric worker that shares the
+        coordinator's root has written it already, and reading it back
+        costs far less than creating a file.  A missing, different or
+        corrupt entry is written.
+
         The temp file is removed even when serialization or the rename
         fails, so an aborted save cannot leak ``*.tmp<pid>`` litter into the
         cache (a writer killed outright is covered by the stale-file sweep
@@ -231,19 +242,27 @@ class ResultStore:
             text = encode_result(result)
         # The text of a key-sorted dict of these three keys, spelled out so
         # the result's own text goes in as it is.
-        text = (f'{{"engine_version":{_JSON.encode(self.engine_version)},'
-                f'"job":{_JSON.encode(job.spec())},"result":{text}}}\n')
+        data = (f'{{"engine_version":{_JSON.encode(self.engine_version)},'
+                f'"job":{_JSON.encode(job.spec())},"result":{text}}}\n'
+                ).encode()
+        try:
+            if path.read_bytes() == data:
+                self.unchanged += 1
+                _OBS_UNCHANGED.inc()
+                return path
+        except OSError:
+            pass  # no entry yet (or unreadable): write it
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}"
             f"-{next(self._save_counter)}")
         try:
             try:
-                tmp.write_text(text)
+                tmp.write_bytes(data)
             except FileNotFoundError:
                 # First save into this version directory, or it was
                 # removed meanwhile (clear()): create it, then retry.
                 path.parent.mkdir(parents=True, exist_ok=True)
-                tmp.write_text(text)
+                tmp.write_bytes(data)
             with self._advisory_lock():
                 os.replace(tmp, path)
         except BaseException:

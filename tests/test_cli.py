@@ -287,6 +287,8 @@ class TestDoctorCommand:
         assert payload["native"]["abi_version"] >= 1
         assert payload["store"]["root"] == str(tmp_path)
         assert payload["store"]["entries"] == 0
+        assert "repro_store_unchanged_total" in \
+            payload["telemetry"]["metrics"]
         assert code in (0, 1)
 
 
@@ -311,6 +313,17 @@ class TestFuzzCommand:
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["ok"] is True and payload["cases_run"] == 2
+
+    def test_json_report_parses_with_progress_on(self, capsys, tmp_path):
+        from repro.snitch import native
+        if not native.available():
+            pytest.skip("native engine unavailable")
+        code = main(["fuzz", "--budget", "2", "--seed", "1", "--json",
+                     "--corpus-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["cases_run"] == 2
+        assert "[2/2] cases checked" in captured.err
 
     def test_corrupted_engine_fails_and_writes_corpus(self, capsys,
                                                       tmp_path):

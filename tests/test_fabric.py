@@ -37,6 +37,7 @@ from repro.service import (
 )
 from repro.sweep import ResultStore, execute_job
 from repro.sweep import faults
+from repro.sweep.store import encode_result
 from repro.sweep.supervisor import RetryPolicy
 from tests.conftest import ThreadPool
 from tests.test_service_server import JOB_WIRE, execute_job_cached
@@ -47,9 +48,10 @@ JOB_WIRE_B = dict(JOB_WIRE, seed=7)
 
 
 def ok_payload(job_hash, result=None):
-    """A worker's success upload for ``job_hash`` (canned real result)."""
+    """A worker's success upload for ``job_hash`` (canned real result),
+    which carries the result as its store text."""
     result = result if result is not None else execute_job_cached(None)
-    return {"ok": True, "hash": job_hash, "result": result.to_json_dict(),
+    return {"ok": True, "hash": job_hash, "result": encode_result(result),
             "attempts": 1, "degraded": False}
 
 
@@ -131,8 +133,8 @@ class TestFabricProtocol:
                 client.heartbeat(grant["lease"])
             assert err.value.status == 410
 
-    def test_a_completion_encodes_its_result_once(self, tmp_path,
-                                                  monkeypatch):
+    def test_the_coordinator_never_encodes_an_uploaded_result(
+            self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         result = execute_job_cached(None)
         encoded = []
@@ -150,18 +152,22 @@ class TestFabricProtocol:
             monkeypatch.undo()
             assert client.sweep(receipt["sweep"])["state"] == "done"
             served = client.job(grant["hash"])["result"]
-        assert len(encoded) == 1
-        assert served == payload["result"]
-        # Byte for byte the compact, key-sorted encoding of the whole entry.
+            kept = service.queue._jobs[grant["hash"]].result
+        assert encoded == []
+        assert kept == payload["result"]
+        assert served == json.loads(payload["result"])
+        # The entry holds the uploaded text byte for byte, inside the
+        # compact, key-sorted encoding of the whole entry.
         job = job_from_wire(JOB_WIRE)
-        uploaded = KernelRunResult.from_json_dict(payload["result"])
         expected = json.JSONEncoder(
             sort_keys=True, separators=(",", ":")).encode({
                 "engine_version": store.engine_version,
                 "job": job.spec(),
-                "result": uploaded.without_cluster().to_json_dict(),
+                "result": result.to_json_dict(),
             }) + "\n"
-        assert store.path_for(job).read_text() == expected
+        entry = store.path_for(job).read_bytes()
+        assert entry == expected.encode()
+        assert f',"result":{payload["result"]}}}\n'.encode() in entry
 
     def test_fabric_routes_404_without_fabric_mode(self):
         from tests.test_service_server import running_server
@@ -189,6 +195,38 @@ class TestFabricProtocol:
                                  "result": {"junk": 1}})
             assert err.value.status == 400
             assert receipt["jobs"][0]["hash"] == grant["hash"]
+
+    @pytest.mark.parametrize("upload", ["dict", "not_json", "unknown_key"])
+    def test_a_malformed_result_is_400_and_the_job_keeps_running(
+            self, tmp_path, upload):
+        result = execute_job_cached(None)
+        bad = {"dict": result.to_json_dict(),
+               "not_json": encode_result(result)[:-1],
+               "unknown_key": json.dumps(dict(result.to_json_dict(),
+                                              cluster=None))}[upload]
+        store = ResultStore(tmp_path)
+        with running_fabric(store=store) as (service, client):
+            receipt = client.submit({"jobs": [JOB_WIRE]})
+            grant = client.lease("w1")["grants"][0]
+            with pytest.raises(ServiceError) as err:
+                client.complete(grant["lease"],
+                                dict(ok_payload(grant["hash"], result),
+                                     result=bad))
+            assert err.value.status == 400
+            assert client.job(grant["hash"])["state"] == "running"
+            assert client.heartbeat(grant["lease"])["ok"] is True
+            assert len(store) == 0
+            # The same lease still completes with a well-formed upload.
+            client.complete(grant["lease"], ok_payload(grant["hash"], result))
+            assert client.sweep(receipt["sweep"])["state"] == "done"
+
+    def test_every_key_to_json_dict_writes_is_accepted(self):
+        from tests.test_sweep import pinned_result
+
+        result = pinned_result()  # activity, phase_seconds, program_info
+        fabric = FabricCoordinator(JobQueue(dispatch="fabric"))
+        parsed = fabric._parse_result({"result": encode_result(result)})
+        assert parsed == result
 
     def test_coordinator_requires_fabric_queue(self):
         with pytest.raises(FabricError):
@@ -363,6 +401,37 @@ class TestFabricWorker:
             worker.run(exit_on_idle=10)
             assert worker.local_hits == 1 and worker.executed == 0
             assert client.sweep(receipt["sweep"])["state"] == "done"
+
+    def test_a_shared_store_root_is_written_once_per_job(self, tmp_path,
+                                                          monkeypatch):
+        """A worker on the coordinator's store root (one box, one
+        directory) publishes each entry; the coordinator's save finds the
+        same bytes there and writes nothing."""
+        execute_job_cached(None)  # simulate before counting
+        coordinator_store = ResultStore(tmp_path)
+        published = []
+        replace = os.replace
+
+        def counted(src, dst):
+            if Path(dst).parent == coordinator_store.version_dir:
+                published.append(Path(dst).name)
+            return replace(src, dst)
+        monkeypatch.setattr(os, "replace", counted)
+        with running_fabric(store=coordinator_store) as (service, client):
+            receipt = client.submit({"jobs": [JOB_WIRE, JOB_WIRE_B]})
+            worker = FabricWorker(service.url, worker_id="w1", capacity=2,
+                                  store=ResultStore(tmp_path),
+                                  poll_seconds=0.05,
+                                  pool=ThreadPool(execute_job_cached, 2))
+            worker.run(exit_on_idle=10)
+            assert client.sweep(receipt["sweep"])["state"] == "done"
+            metrics = client.metrics()
+        assert worker.executed == 2
+        assert sorted(published) == sorted(
+            coordinator_store.path_for(job_from_wire(wire)).name
+            for wire in (JOB_WIRE, JOB_WIRE_B))
+        assert coordinator_store.unchanged == 2
+        assert "repro_store_unchanged_total" in metrics
 
     def test_net_drop_faults_are_retried_through(self, monkeypatch,
                                                  tmp_path):

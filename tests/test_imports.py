@@ -153,11 +153,14 @@ class TestServiceWithoutSimulator:
         lease, a canned upload and a malformed one, over real HTTP to an
         in-process fabric daemon."""
         from repro.sweep import SweepJob, execute_job
+        from repro.sweep.store import encode_result
         from tests.conftest import small_tile
 
         canned = execute_job(SweepJob.make(
             "jacobi_2d", "base", tile_shape=small_tile("jacobi_2d")))
-        canned_text = json.dumps(json.dumps(canned.to_json_dict()))
+        # Python literals of the uploaded texts.
+        canned_text = json.dumps(encode_result(canned))
+        malformed_text = json.dumps(json.dumps({"kernel": "j2d5pt"}))
         result = run_fresh(f"""
             import asyncio, json, sys, threading
             from repro.service.client import ServiceClient, ServiceError
@@ -187,11 +190,11 @@ class TestServiceWithoutSimulator:
             first, second = grants
             client.complete(first["lease"], {{
                 "ok": True, "hash": first["hash"],
-                "result": json.loads({canned_text})}})
+                "result": {canned_text}}})
             try:
                 client.complete(second["lease"], {{
                     "ok": True, "hash": second["hash"],
-                    "result": {{"kernel": "j2d5pt"}}}})
+                    "result": {malformed_text}}})
                 status = None
             except ServiceError as exc:
                 status = exc.status

@@ -41,6 +41,42 @@ def small_job(kernel="jacobi_2d", variant="saris", **kwargs):
                          **kwargs)
 
 
+def pinned_result(**changes):
+    """A hand-made result whose store text is pinned below."""
+    from dataclasses import replace
+
+    from repro.result import KernelRunResult
+    from repro.snitch.trace import ActivityCounters
+
+    result = KernelRunResult(
+        kernel="jacobi_2d", variant="saris", tile_shape=(12, 12),
+        cycles=1234, total_flops=2048, fpu_util=0.8125, ipc=0.9,
+        flops_per_cycle=1.5, correct=True, max_abs_error=1e-12,
+        runtime_imbalance=0.015625, tcdm_conflict_rate=0.0625,
+        dma_utilization=0.75, tile_traffic_bytes=4096,
+        activity=ActivityCounters(
+            int_retired=10, fp_issued=20, fp_compute=15, flops=30,
+            tcdm_requests=40, tcdm_conflicts=2, dma_bytes=4096,
+            core_cycles=(1234, 1230)),
+        program_info=[{"variant": "saris", "unroll": (2, 1)}],
+        engine="native", phase_seconds={"simulate": 0.25})
+    return replace(result, **changes)
+
+
+#: ``pinned_result()``'s text in a store entry.
+PINNED_RESULT_TEXT = (
+    '{"activity":{"core_cycles":[1234,1230],"dma_bytes":4096,"flops":30,'
+    '"fp_compute":15,"fp_issued":20,"int_retired":10,"tcdm_conflicts":2,'
+    '"tcdm_requests":40},"correct":true,"cycles":1234,'
+    '"dma_utilization":0.75,"engine":"native","flops_per_cycle":1.5,'
+    '"fpu_util":0.8125,"ipc":0.9,"kernel":"jacobi_2d",'
+    '"max_abs_error":1e-12,"phase_seconds":{"simulate":0.25},'
+    '"program_info":[{"unroll":[2,1],"variant":"saris"}],'
+    '"runtime_imbalance":0.015625,"tcdm_conflict_rate":0.0625,'
+    '"tile_shape":[12,12],"tile_traffic_bytes":4096,"total_flops":2048,'
+    '"variant":"saris"}')
+
+
 class TestSweepJobHash:
     def test_kwarg_order_is_irrelevant(self):
         a = SweepJob.make("jacobi_2d", "saris", max_block=4, use_frep=True)
@@ -156,6 +192,100 @@ class TestResultStore:
         path = store.save(job, result)
         assert path.parent == store.version_dir and path.exists()
         assert metrics_key(store.load(job)) == metrics_key(result)
+        assert not list(store.version_dir.glob("*.tmp*"))
+
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = SweepJob.make("jacobi_2d", "saris", tile_shape=(12, 12))
+        spec = json.dumps(job.spec(), sort_keys=True, separators=(",", ":"))
+        expected = (f'{{"engine_version":{ENGINE_VERSION},"job":{spec},'
+                    f'"result":{PINNED_RESULT_TEXT}}}\n').encode()
+        assert store.save(job, pinned_result()).read_bytes() == expected
+        assert store.load(job) == pinned_result()
+
+    def test_saving_the_same_bytes_again_writes_nothing(self, tmp_path,
+                                                        monkeypatch):
+        import pathlib
+
+        store = ResultStore(tmp_path)
+        job = small_job()
+        path = store.save(job, pinned_result())
+        before = path.stat()
+        listing = sorted(store.version_dir.iterdir())
+        written, replaced = [], []
+        open_path = pathlib.Path.open
+
+        def watched_open(self, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                written.append(self)
+            return open_path(self, mode, *args, **kwargs)
+        monkeypatch.setattr(pathlib.Path, "open", watched_open)
+        monkeypatch.setattr(os, "replace",
+                            lambda *args: replaced.append(args))
+        # Another instance, as a second process on the same root would be.
+        again = ResultStore(tmp_path)
+        assert again.save(job, pinned_result()) == path
+        monkeypatch.undo()
+        assert written == [] and replaced == []
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns)
+        assert sorted(store.version_dir.iterdir()) == listing
+        assert again.unchanged == 1 and store.unchanged == 0
+
+    def test_different_bytes_or_a_corrupt_entry_are_replaced(self,
+                                                             tmp_path):
+        store = ResultStore(tmp_path)
+        job = small_job()
+        path = store.save(job, pinned_result())
+        first = path.read_bytes()
+        store.save(job, pinned_result(engine="python"))
+        assert path.read_bytes() == first.replace(b'"native"', b'"python"')
+        assert store.load(job).engine == "python"
+        path.write_text("{not json")
+        store.save(job, pinned_result())
+        assert path.read_bytes() == first
+        path.write_bytes(first[:-20])  # truncated: same prefix, cut short
+        store.save(job, pinned_result())
+        assert path.read_bytes() == first
+        assert store.unchanged == 0
+        assert not list(store.version_dir.glob("*.tmp*"))
+
+    def test_concurrent_writers_of_different_bytes_leave_one_entry(
+            self, tmp_path):
+        """Two threads that keep replacing each other's entry (the same
+        metrics, different engines) end with one well-formed entry
+        holding exactly one of their texts."""
+        import threading
+
+        job = small_job()
+        results = [pinned_result(), pinned_result(engine="python")]
+        errors = []
+
+        def hammer(result):
+            store = ResultStore(tmp_path)  # own instance, same directory
+            try:
+                for _ in range(50):
+                    store.save(job, result)
+                    loaded = store.load(job)
+                    assert loaded is not None
+                    assert metrics_key(loaded) == metrics_key(result)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(result,))
+                   for result in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        store = ResultStore(tmp_path)
+        probe = ResultStore(tmp_path / "probe")
+        assert store.path_for(job).read_bytes() in {
+            probe.save(job, result).read_bytes() for result in results}
+        assert len(store) == 1
+        assert store.stats()["corrupt_files"] == 0
         assert not list(store.version_dir.glob("*.tmp*"))
 
     def test_concurrent_writers_one_key_never_corrupt(self, tmp_path):
